@@ -1,5 +1,5 @@
-# Tier-1 gate (see ROADMAP.md): gofmt cleanliness + vet + full build +
-# race-mode tests of the
+# Tier-1 gate (see ROADMAP.md): gofmt cleanliness + no Sscanf in the trace
+# analysers + vet + full build + race-mode tests of the
 # engine and protocol core — once under the default scheduler and once with
 # SIM_FORCE_PARALLEL=1, which reruns the sim suite on the window-based
 # parallel scheduler with per-processor conflict domains (the most
@@ -13,6 +13,8 @@
 check:
 	@unformatted=$$(gofmt -l . 2>/dev/null); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
+	@if grep -l Sscanf $$(ls internal/obsv/*.go | grep -v _test.go); then \
+		echo "Sscanf in internal/obsv: trace details are decoded once, by protocol.DecodeDetail"; exit 1; fi
 	go vet ./...
 	go build ./...
 	go test -race ./internal/protocol/ ./internal/sim/

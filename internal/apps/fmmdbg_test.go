@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"os"
 	"testing"
 
 	"repro"
@@ -13,11 +14,10 @@ func TestFMMDebug(t *testing.T) {
 	}
 	defer protocol.SetDebugBatchFlagReads(false)
 	protocol.SetDebugBatchFlagReads(true)
-	protocol.SetDebugTraceBlock(50)
-	defer protocol.SetDebugTraceBlock(-1)
 	debugFMM = true
 	defer func() { debugFMM = false }()
-	res, err := Execute(NewFMM(1), shasta.Config{Procs: 8, Clustering: 4}, false)
+	tr := &shasta.WriterTracer{W: os.Stdout, Blocks: map[int]bool{50: true}}
+	res, err := ExecuteObserved(NewFMM(1), shasta.Config{Procs: 8, Clustering: 4}, false, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

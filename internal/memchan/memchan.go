@@ -288,20 +288,6 @@ type SendInfo struct {
 	Uplink bool
 }
 
-// Via names the physical route for trace details: "local" (shared-memory
-// queue), "remote" (Memory Channel) or "uplink" (Memory Channel plus a
-// group-boundary crossing).
-func (i SendInfo) Via() string {
-	switch {
-	case i.Local:
-		return "local"
-	case i.Uplink:
-		return "uplink"
-	default:
-		return "remote"
-	}
-}
-
 // Send transmits payload of the given size from processor p to dst,
 // computing arrival time from the topology: intra-node messages use the
 // shared-memory queues; inter-node messages use (and occupy) a lane of the

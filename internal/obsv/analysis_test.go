@@ -199,12 +199,11 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 		// Duplicate an exclusive grant (handle+install) with no intervening
 		// downgrade: two live exclusive owners in trace order.
 		for i := range ev {
-			grant, _, _ := strings.Cut(ev[i].Detail, " ")
-			if ev[i].Op == "install" && (grant == "exclusive" || grant == "upgrade") {
+			if grant := ev[i].Grant; ev[i].Op == "install" && grant != protocol.GrantShared {
 				h := ev[i]
 				h.Op = "handle"
-				h.Msg = map[string]string{"exclusive": "DataExclReply", "upgrade": "UpgradeAck"}[grant]
-				h.Detail = ""
+				h.Msg = map[protocol.Grant]string{protocol.GrantExclusive: "DataExclReply", protocol.GrantUpgrade: "UpgradeAck"}[grant]
+				h.TraceFields = protocol.TraceFields{}
 				dup := append([]protocol.TraceEvent(nil), ev[:i+1]...)
 				dup = append(dup, h, ev[i])
 				dup = append(dup, ev[i+1:]...)

@@ -31,25 +31,15 @@ type Causal struct {
 }
 
 // sendKey identifies the FIFO stream a protocol message travels on, as far
-// as the trace can see: message kind, block and destination processor. The
-// destination is parsed from the send event's detail ("to p<dst> ...");
-// handles name their own processor. Matching within a key is FIFO in seq
-// order, which is consistent for latency analysis even if the interconnect
-// reordered two identical messages: the edge weights telescope either way.
+// as the trace can see: message kind, block and destination processor (a
+// send event's Peer; handles name their own processor). Matching within a
+// key is FIFO in seq order, which is consistent for latency analysis even if
+// the interconnect reordered two identical messages: the edge weights
+// telescope either way.
 type sendKey struct {
 	msg string
 	blk int
 	dst int
-}
-
-// parseSendDst extracts the destination processor from a send event's
-// detail; ok is false when the detail does not carry one.
-func parseSendDst(detail string) (int, bool) {
-	var dst int
-	if n, err := fmt.Sscanf(detail, "to p%d", &dst); n == 1 && err == nil {
-		return dst, true
-	}
-	return 0, false
 }
 
 // BuildCausal reconstructs the happens-before edges of a trace. The events
@@ -84,12 +74,11 @@ func BuildCausal(events []protocol.TraceEvent) *Causal {
 
 		switch e.Op {
 		case "send":
-			dst, ok := parseSendDst(e.Detail)
-			if !ok {
+			if !e.Typed {
 				unparsedSends++
 				continue
 			}
-			k := sendKey{e.Msg, e.BaseLine, dst}
+			k := sendKey{e.Msg, e.BaseLine, int(e.Peer)}
 			pending[k] = append(pending[k], i)
 		case "handle":
 			k := sendKey{e.Msg, e.BaseLine, e.Proc}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/memory"
 	"repro/internal/protocol"
 )
 
@@ -124,12 +125,12 @@ var sendRequired = map[string]bool{
 	"DowngradeToShared": true, "DowngradeToInvalid": true,
 }
 
-// grantReply maps an install grant kind (the first word of the install
-// event's detail) to the reply message that must have been handled.
-var grantReply = map[string]string{
-	"shared":    "DataReply",
-	"exclusive": "DataExclReply",
-	"upgrade":   "UpgradeAck",
+// grantReply maps an install's grant to the reply message that must have
+// been handled.
+var grantReply = [...]string{
+	protocol.GrantShared:    "DataReply",
+	protocol.GrantExclusive: "DataExclReply",
+	protocol.GrantUpgrade:   "UpgradeAck",
 }
 
 // fail records a rule breach: a violation on a complete trace, a warning on
@@ -182,11 +183,9 @@ func (c *Checker) Event(e protocol.TraceEvent) {
 		}
 		m[e.Msg]++
 		if e.Msg == "DowngradeToShared" || e.Msg == "DowngradeToInvalid" {
-			if dst, ok := parseSendDst(e.Detail); ok {
-				if c.priv[[2]int{dst, e.BaseLine}] == privLost {
-					c.fail("downgrade-target", e,
-						"%s targets p%d, which no longer holds blk%d", e.Msg, dst, e.BaseLine)
-				}
+			if e.Typed && c.priv[[2]int{int(e.Peer), e.BaseLine}] == privLost {
+				c.fail("downgrade-target", e,
+					"%s targets p%d, which no longer holds blk%d", e.Msg, e.Peer, e.BaseLine)
 			}
 		}
 	case "handle":
@@ -204,8 +203,8 @@ func (c *Checker) Event(e protocol.TraceEvent) {
 			// Shared still holds the block; the mapping stays valid.
 		}
 	case "install":
-		grant, _, _ := strings.Cut(e.Detail, " ")
-		if reply, ok := grantReply[grant]; ok {
+		if e.Typed {
+			grant, reply := e.Grant, grantReply[e.Grant]
 			k := replyKey{e.Proc, e.BaseLine, reply}
 			if c.replies[k] == 0 {
 				c.fail("install-has-reply", e,
@@ -213,7 +212,7 @@ func (c *Checker) Event(e protocol.TraceEvent) {
 			} else {
 				c.replies[k]--
 			}
-			if grant == "exclusive" || grant == "upgrade" {
+			if grant != protocol.GrantShared {
 				if c.hasExcl[e.BaseLine] && !c.separated[e.BaseLine] {
 					c.fail("single-exclusive", e,
 						"%s install with no downgrade/invalidate since the previous exclusive grant", grant)
@@ -232,7 +231,7 @@ func (c *Checker) Event(e protocol.TraceEvent) {
 		c.separated[e.BaseLine] = true
 		// The initiator lowers its own private mapping immediately; only
 		// an invalidating downgrade loses it.
-		if strings.HasPrefix(e.Detail, "to I") {
+		if e.Typed && e.To == memory.Invalid {
 			c.priv[pb] = privLost
 		}
 	}

@@ -60,8 +60,8 @@ func ExportChrome(events []protocol.TraceEvent, w io.Writer) error {
 		}
 		ts := float64(e.Time) / chromeCyclesPerMicro
 		args := map[string]any{"seq": e.Seq, "blk": e.BaseLine}
-		if e.Detail != "" {
-			args["detail"] = e.Detail
+		if d := e.AppendDetail(nil); len(d) > 0 {
+			args["detail"] = string(d)
 		}
 		out = append(out, chromeEvent{
 			Name: name, Ph: "i", Ts: ts, Pid: 0, Tid: e.Proc, S: "t", Args: args,

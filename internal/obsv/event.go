@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 
 	"repro/internal/protocol"
 )
@@ -51,25 +53,62 @@ func WriteHeader(w io.Writer) error {
 
 // WriteEvent writes one event as a JSONL line.
 func WriteEvent(w io.Writer, e protocol.TraceEvent) error {
-	b, err := json.Marshal(wireEvent{
-		Seq: e.Seq, Time: e.Time, Proc: e.Proc, Op: e.Op, Msg: e.Msg,
-		Block: e.BaseLine, Detail: e.Detail,
-	})
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err := w.Write(appendEvent(nil, &e))
 	return err
 }
 
+// appendEvent appends the event's JSONL line to b, byte for byte what
+// json.Marshal of its wireEvent plus a newline would be. This is where a
+// simulator event's detail becomes text.
+func appendEvent(b []byte, e *protocol.TraceEvent) []byte {
+	b = strconv.AppendUint(append(b, `{"seq":`...), e.Seq, 10)
+	b = strconv.AppendInt(append(b, `,"t":`...), e.Time, 10)
+	b = strconv.AppendInt(append(b, `,"p":`...), int64(e.Proc), 10)
+	b = appendJSONString(append(b, `,"op":`...), e.Op)
+	if e.Msg != "" {
+		b = appendJSONString(append(b, `,"msg":`...), e.Msg)
+	}
+	b = strconv.AppendInt(append(b, `,"blk":`...), int64(e.BaseLine), 10)
+	if e.Detail != "" {
+		b = appendJSONString(append(b, `,"detail":`...), e.Detail)
+	} else if n := len(b); e.Typed {
+		// The detail grammar is plain ASCII: nothing in it needs escaping.
+		const key = `,"detail":"`
+		if b = e.AppendDetail(append(b, key...)); len(b) == n+len(key) {
+			b = b[:n] // omitempty
+		} else {
+			b = append(b, '"')
+		}
+	}
+	return append(b, '}', '\n')
+}
+
+// appendJSONString appends s as a JSON string literal. Plain printable
+// ASCII is copied; anything encoding/json would escape is left to it, so the
+// two never disagree.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string cannot fail to marshal
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// readChunk is how many events ReadTrace collects per allocation; the chunks
+// are joined once at the end, so reading never regrows a slice.
+const readChunk = 4096
+
 // ReadTrace parses one JSONL trace stream: a header line followed by event
-// lines. Blank lines are skipped.
+// lines. Blank lines are skipped. This is where detail text enters the
+// process: each event's typed fields are decoded from it here, once.
 func ReadTrace(r io.Reader) (Header, []protocol.TraceEvent, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var h Header
-	var events []protocol.TraceEvent
+	var full [][]protocol.TraceEvent
+	chunk := make([]protocol.TraceEvent, 0, readChunk)
 	sawHeader := false
 	line := 0
 	for sc.Scan() {
@@ -96,10 +135,15 @@ func ReadTrace(r io.Reader) (Header, []protocol.TraceEvent, error) {
 		if err := json.Unmarshal(b, &we); err != nil {
 			return h, nil, fmt.Errorf("obsv: line %d: bad trace event: %w", line, err)
 		}
-		events = append(events, protocol.TraceEvent{
+		if len(chunk) == cap(chunk) {
+			full = append(full, chunk)
+			chunk = make([]protocol.TraceEvent, 0, readChunk)
+		}
+		chunk = append(chunk, protocol.TraceEvent{
 			Seq: we.Seq, Time: we.Time, Proc: we.Proc, Op: we.Op, Msg: we.Msg,
 			BaseLine: we.Block, Detail: we.Detail,
 		})
+		chunk[len(chunk)-1].DecodeDetail()
 	}
 	if err := sc.Err(); err != nil {
 		return h, nil, err
@@ -107,5 +151,5 @@ func ReadTrace(r io.Reader) (Header, []protocol.TraceEvent, error) {
 	if !sawHeader {
 		return h, nil, fmt.Errorf("obsv: empty trace (no header line)")
 	}
-	return h, events, nil
+	return h, slices.Concat(append(full, chunk)...), nil
 }

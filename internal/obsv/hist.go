@@ -139,9 +139,9 @@ func TraceHistograms(events []protocol.TraceEvent) (map[string]Histogram, int) {
 			} else {
 				pending[k] = q[1:]
 			}
-			kind, _, _ := strings.Cut(e.Detail, " ")
-			if kind == "" {
-				kind = "unknown"
+			kind := "unknown"
+			if e.Typed {
+				kind = e.Grant.String()
 			}
 			c := counts[kind]
 			c[stats.LatencyBucket(e.Time-m.Time)]++

@@ -19,9 +19,8 @@ import (
 // hysteresis should prevent.
 //
 // The chain is reconstructed from "migrate" decision events (emitted by the
-// old home, with the target and the cost evidence in the detail); "migfwd"
-// events attribute forwards. A trace from a run without Config.Migrate
-// yields an empty report.
+// old home, naming the target); "migfwd" events attribute forwards. A trace
+// from a run without Config.Migrate yields an empty report.
 func MigrationReport(events []protocol.TraceEvent) string {
 	type chain struct {
 		block       int
@@ -35,10 +34,9 @@ func MigrationReport(events []protocol.TraceEvent) string {
 	for _, e := range events {
 		switch e.Op {
 		case "migrate":
-			var target int
-			if _, err := fmt.Sscanf(e.Detail, "to p%d", &target); err != nil {
-				// Installation event ("installed from pX"): counted, not
-				// chained — the decision event already recorded the hop.
+			if !e.Typed || e.Installed {
+				// Installation event: counted, not chained — the decision
+				// event already recorded the hop.
 				installs++
 				continue
 			}
@@ -48,7 +46,7 @@ func MigrationReport(events []protocol.TraceEvent) string {
 				c = &chain{block: e.BaseLine, homes: []int{e.Proc}, first: e.Time}
 				chains[e.BaseLine] = c
 			}
-			c.homes = append(c.homes, target)
+			c.homes = append(c.homes, int(e.Peer))
 			c.migs++
 			c.last = e.Time
 		case "migfwd":

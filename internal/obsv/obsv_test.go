@@ -2,6 +2,7 @@ package obsv_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,19 +14,28 @@ import (
 	"repro/internal/protocol"
 )
 
-// fakeEvents builds a small synthetic trace.
+// decoded passes hand-built events through the detail decoder, as ReadTrace
+// would, so tests that write details as text exercise the real grammar.
+func decoded(events []protocol.TraceEvent) []protocol.TraceEvent {
+	for i := range events {
+		events[i].DecodeDetail()
+	}
+	return events
+}
+
+// fakeEvents builds a small synthetic trace; three events carry no detail.
 func fakeEvents() []protocol.TraceEvent {
-	return []protocol.TraceEvent{
-		{Seq: 1, Time: 10, Proc: 4, Op: "miss", BaseLine: 0, Detail: "state=Invalid"},
-		{Seq: 2, Time: 12, Proc: 4, Op: "send", Msg: "ReadReq", BaseLine: 0, Detail: "to p0"},
+	return decoded([]protocol.TraceEvent{
+		{Seq: 1, Time: 10, Proc: 4, Op: "miss", BaseLine: 0, Detail: "read issued r=1 w=0: state=I priv=I seq=0 entry=-"},
+		{Seq: 2, Time: 12, Proc: 4, Op: "send", Msg: "ReadReq", BaseLine: 0, Detail: "to p0 seq=0 acks=0"},
 		{Seq: 3, Time: 900, Proc: 0, Op: "handle", Msg: "ReadReq", BaseLine: 0},
-		{Seq: 4, Time: 905, Proc: 0, Op: "downgrade", BaseLine: 0, Detail: "to shared"},
+		{Seq: 4, Time: 905, Proc: 0, Op: "downgrade", BaseLine: 0, Detail: "to S, 1 recipients (pre E)"},
 		{Seq: 5, Time: 950, Proc: 0, Op: "send", Msg: "DataReply", BaseLine: 0},
-		{Seq: 6, Time: 2100, Proc: 4, Op: "handle", Msg: "DataReply", BaseLine: 0},
-		{Seq: 7, Time: 2110, Proc: 4, Op: "install", BaseLine: 0, Detail: "shared"},
+		{Seq: 6, Time: 2100, Proc: 4, Op: "handle", Msg: "DataReply", BaseLine: 0, Detail: "from R0 seq=1: state=Pr priv=I seq=0 entry=read(da=false,eg=false,acks=0/0)"},
+		{Seq: 7, Time: 2110, Proc: 4, Op: "install", BaseLine: 0, Detail: "shared seq=1 hops=2"},
 		{Seq: 8, Time: 2200, Proc: 4, Op: "sync", BaseLine: -1, Detail: "barrier gen=1"},
 		{Seq: 9, Time: 2300, Proc: 5, Op: "miss", BaseLine: 8},
-	}
+	})
 }
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -51,17 +61,101 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestReadTraceRejects(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"wrong schema":  `{"schema":"other","version":1}` + "\n",
-		"newer version": `{"schema":"shasta-trace","version":99}` + "\n",
-		"bad event":     `{"schema":"shasta-trace","version":1}` + "\nnot json\n",
+	cases := map[string][2]string{
+		"empty":         {"", "obsv: empty trace (no header line)"},
+		"bad header":    {"{\n", "obsv: line 1: bad trace header: "},
+		"wrong schema":  {`{"schema":"other","version":1}` + "\n", `obsv: not a shasta-trace file (schema "other")`},
+		"newer version": {`{"schema":"shasta-trace","version":99}` + "\n", "obsv: trace version 99 is newer than supported version 1"},
+		"bad event":     {`{"schema":"shasta-trace","version":1}` + "\n\nnot json\n", "obsv: line 3: bad trace event: "},
 	}
-	for name, in := range cases {
-		if _, _, err := obsv.ReadTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for name, c := range cases {
+		if _, _, err := obsv.ReadTrace(strings.NewReader(c[0])); err == nil || !strings.HasPrefix(err.Error(), c[1]) {
+			t.Errorf("%s: error %v, want %q", name, err, c[1])
 		}
 	}
+}
+
+// TestReadTraceJoinsChunks reads a trace longer than several of ReadTrace's
+// collection chunks and gets every event back once, in order.
+func TestReadTraceJoinsChunks(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obsv.NewJSONLWriterSink(&buf)
+	const n = 3*4096 + 17
+	for i := 1; i <= n; i++ {
+		sink.Event(protocol.TraceEvent{Seq: uint64(i), Proc: i % 8, Op: "batch", BaseLine: -1, Detail: "2 blocks"})
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := obsv.ReadTrace(&buf)
+	if err != nil || len(got) != n {
+		t.Fatalf("read %d events (%v), want %d", len(got), err, n)
+	}
+	for i, e := range got {
+		if e.Seq != uint64(i+1) || !e.Typed || e.N != 2 {
+			t.Fatalf("event %d: %+v", i, e)
+		}
+	}
+}
+
+// TestWriteEventMatchesJSONMarshal holds the hand-rolled line encoder to the
+// form it replaced — json.Marshal of the wire struct plus a newline,
+// including its HTML and control-character escaping — over every committed
+// trace (both as read, detail verbatim, and with the detail rendered from
+// the typed fields) and over strings that need escaping. Each fixture must
+// also stream back through a sink to exactly its committed bytes.
+func TestWriteEventMatchesJSONMarshal(t *testing.T) {
+	marshal := func(e protocol.TraceEvent) string {
+		b, err := json.Marshal(struct {
+			Seq    uint64 `json:"seq"`
+			Time   int64  `json:"t"`
+			Proc   int    `json:"p"`
+			Op     string `json:"op"`
+			Msg    string `json:"msg,omitempty"`
+			Block  int    `json:"blk"`
+			Detail string `json:"detail,omitempty"`
+		}{e.Seq, e.Time, e.Proc, e.Op, e.Msg, e.BaseLine, string(e.AppendDetail(nil))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	check := func(e protocol.TraceEvent) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := obsv.WriteEvent(&buf, e); err != nil || buf.String() != marshal(e) {
+			t.Fatalf("WriteEvent(%+v) = %q (%v), json.Marshal gives %q", e, buf.String(), err, marshal(e))
+		}
+	}
+	files, err := filepath.Glob("../../cmd/shastatrace/testdata/*.jsonl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no trace fixtures: %v", err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, events, err := obsv.ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var out bytes.Buffer
+		sink := obsv.NewJSONLWriterSink(&out)
+		for _, e := range events {
+			check(e)
+			sink.Event(e)
+			e.Detail = ""
+			check(e)
+		}
+		if err := sink.Close(); err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Errorf("%s does not stream back to its committed bytes (%v)", name, err)
+		}
+	}
+	for _, s := range []string{"", "plain", `a<b>&"c"\d`, "tab\tnl\nbs\bff\fnul\x00del\x7f", "caf\u00e9 \u2028\u2029", "bad\xffutf8"} {
+		check(protocol.TraceEvent{Seq: 1, Time: -5, Proc: 3, Op: s, Msg: s, BaseLine: -1, Detail: s})
+	}
+	check(protocol.TraceEvent{Op: "nonesuch", TraceFields: protocol.TraceFields{Typed: true}})
 }
 
 func TestJSONLSinkRotation(t *testing.T) {

@@ -6,13 +6,14 @@ import (
 	"strings"
 
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // Data-race detection over coherence traces. Shasta's fine-grain access
 // control instruments every shared load and store, so the trace already
 // carries the signal a race detector needs: each miss event names the block,
-// the sub-block slots the triggering access touches (the r=/w= masks in its
-// detail), and the issuing processor, while the synchronization traffic
+// the sub-block slots the triggering access touches (its Rd/Wr masks), and
+// the issuing processor, while the synchronization traffic
 // (lock and barrier messages) carries the happens-before order the program
 // established. DetectRaces joins the two halves: it reconstructs
 // happens-before from the trace and reports conflicting access pairs —
@@ -52,8 +53,8 @@ import (
 // messages all share block -1, and two concurrent lock messages of the
 // same kind from different requesters can be delivered out of send order
 // (local and remote hops have different latencies). The detector therefore
-// pairs LockReq/LockRel/BarArrive streams per requester — the handle's
-// "from R<p>" detail names the sender — and only falls back to plain FIFO
+// pairs LockReq/LockRel/BarArrive streams per requester — the handle's Req
+// names the sender — and only falls back to plain FIFO
 // for LockGrant/BarGo, where the protocol guarantees at most one message
 // in flight per destination (an acquirer stalls until granted; barrier
 // rounds are serialized by the processor's own arrival).
@@ -83,8 +84,8 @@ var syncMsgs = map[string]bool{
 	"BarArrive": true, "BarGo": true,
 }
 
-// syncSenderIsRequester marks the sync kinds whose handle detail ("from
-// R<p>") names the sending processor, enabling exact per-sender pairing.
+// syncSenderIsRequester marks the sync kinds whose handle's Req names the
+// sending processor, enabling exact per-sender pairing.
 var syncSenderIsRequester = map[string]bool{
 	"LockReq": true, "LockRel": true, "BarArrive": true,
 }
@@ -279,8 +280,7 @@ func (d *raceDetector) step(i int) {
 		if !syncMsgs[e.Msg] {
 			return
 		}
-		dst, ok := parseSendDst(e.Detail)
-		if !ok {
+		if !e.Typed {
 			d.orphanSyncSends++
 			return
 		}
@@ -288,7 +288,7 @@ func (d *raceDetector) step(i int) {
 		if syncSenderIsRequester[e.Msg] {
 			src = p
 		}
-		k := syncKey{e.Msg, src, dst}
+		k := syncKey{e.Msg, src, int(e.Peer)}
 		d.pendingSync[k] = append(d.pendingSync[k], i)
 		snap := make([]int, d.np)
 		copy(snap, d.vc[p])
@@ -299,12 +299,11 @@ func (d *raceDetector) step(i int) {
 		}
 		src := -1
 		if syncSenderIsRequester[e.Msg] {
-			r, ok := parseHandleRequester(e.Detail)
-			if !ok {
+			if !e.Typed {
 				d.orphanSyncHandles++
 				return
 			}
-			src = r
+			src = int(e.Req)
 		}
 		k := syncKey{e.Msg, src, p}
 		q := d.pendingSync[k]
@@ -327,26 +326,35 @@ func (d *raceDetector) step(i int) {
 		}
 		d.rep.SyncEdges++
 	case "sync":
-		var gen int
-		if n, err := fmt.Sscanf(e.Detail, "barrier gen=%d", &gen); n == 1 && err == nil {
-			d.arr[p] = append(d.arr[p], genPo{gen, d.po[p]})
+		if e.Typed && e.Sync == protocol.SyncBarrier {
+			d.arr[p] = append(d.arr[p], genPo{int(e.ID), d.po[p]})
 		}
 	case "miss":
-		kind, rd, wr, declared, legacy := parseMissMasks(e.Detail)
-		if declared {
+		if e.Declared {
 			// A batch fetch: the masks are the batch's declared reference
 			// ranges, which over-approximate. The batch's touch events
 			// carry the exact accesses.
 			return
 		}
-		if legacy {
+		kind, rd, wr := "", e.Rd, e.Wr
+		if e.Typed {
+			kind = e.Kind.String()
+		}
+		if !e.HasMasks {
+			// Legacy traces without masks degrade to whole-block masks:
+			// of the kind's direction, or of both when that is unknown too.
 			d.legacyMasks++
+			rd, wr = ^uint64(0), ^uint64(0)
+			if e.Typed && e.Kind == stats.ReadMiss {
+				wr = 0
+			} else if e.Typed {
+				rd = 0
+			}
 		}
 		d.access(i, kind, rd, wr)
 	case "touch":
-		var rd, wr uint64
-		if n, err := fmt.Sscanf(e.Detail, "r=%x w=%x", &rd, &wr); n == 2 && err == nil {
-			d.access(i, "batched", rd, wr)
+		if e.Typed {
+			d.access(i, "batched", e.Rd, e.Wr)
 		}
 	}
 }
@@ -441,43 +449,10 @@ func (d *raceDetector) record(b int, overlap uint64, q int, first *access, bound
 	if bound > 0 {
 		we := &d.events[d.evOf[q][bound-1]]
 		r.Witness = RaceWitness{Ok: true, Seq: we.Seq, Time: we.Time,
-			Op: we.Op, Msg: we.Msg, Prim: SyncPrim(we.Op, we.Msg, we.Detail),
+			Op: we.Op, Msg: we.Msg, Prim: SyncPrim(we),
 			After: first.po - bound}
 	}
 	d.rep.Races = append(d.rep.Races, r)
-}
-
-// parseMissMasks extracts the miss kind and slot masks from a miss event's
-// detail ("<kind> issued r=<hex> w=<hex>: <state>"). Batch fetches carry
-// "issued declared" and report declared=true. Legacy traces without masks
-// degrade to whole-block masks, flagged by legacy.
-func parseMissMasks(detail string) (kind string, rd, wr uint64, declared, legacy bool) {
-	if n, err := fmt.Sscanf(detail, "%s issued r=%x w=%x", &kind, &rd, &wr); n == 3 && err == nil {
-		return kind, rd, wr, false, false
-	}
-	if n, err := fmt.Sscanf(detail, "%s issued declared r=%x w=%x", &kind, &rd, &wr); n == 3 && err == nil {
-		return kind, rd, wr, true, false
-	}
-	kind, _, _ = strings.Cut(detail, " ")
-	const full = ^uint64(0)
-	switch kind {
-	case "read":
-		return kind, full, 0, false, true
-	case "write", "upgrade":
-		return kind, 0, full, false, true
-	default:
-		return kind, full, full, false, true
-	}
-}
-
-// parseHandleRequester extracts the requesting processor from a handle
-// event's detail ("from R<p> ...").
-func parseHandleRequester(detail string) (int, bool) {
-	var r int
-	if n, err := fmt.Sscanf(detail, "from R%d", &r); n == 1 && err == nil {
-		return r, true
-	}
-	return 0, false
 }
 
 // Format renders the report deterministically: a one-line verdict, the

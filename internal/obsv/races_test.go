@@ -20,6 +20,7 @@ func (b *traceBuilder) ev(proc int, op, msg string, blk int, detail string) {
 		Seq: b.seq, Time: int64(b.seq) * 7, Proc: proc,
 		Op: op, Msg: msg, BaseLine: blk, Detail: detail,
 	})
+	b.evs[len(b.evs)-1].DecodeDetail()
 }
 
 func (b *traceBuilder) miss(proc, blk int, kind string, rd, wr uint64) {
@@ -27,7 +28,7 @@ func (b *traceBuilder) miss(proc, blk int, kind string, rd, wr uint64) {
 }
 
 func kindDetail(kind string, rd, wr uint64) string {
-	return kind + " issued r=" + hex(rd) + " w=" + hex(wr) + ": Invalid"
+	return kind + " issued r=" + hex(rd) + " w=" + hex(wr) + ": state=I priv=I seq=0 entry=-"
 }
 
 func hex(v uint64) string {
@@ -246,8 +247,8 @@ func TestRacesRequesterKeyedSyncMatching(t *testing.T) {
 
 func TestRacesLegacyDetailWidens(t *testing.T) {
 	b := &traceBuilder{}
-	b.ev(0, "miss", "", 3, "write issued: Invalid")
-	b.ev(1, "miss", "", 3, "read issued: Invalid")
+	b.ev(0, "miss", "", 3, "write issued: state=I priv=I seq=0 entry=-")
+	b.ev(1, "miss", "", 3, "read issued: state=I priv=I seq=0 entry=-")
 	rep := detect(t, b)
 	if len(rep.Races) != 1 {
 		t.Fatalf("legacy whole-block accesses must conflict:\n%s", rep.Format())
@@ -262,6 +263,9 @@ func TestRacesGappedTraceErrors(t *testing.T) {
 		{Seq: 1, Proc: 0, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
 		{Seq: 5, Proc: 1, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
 	}
+	for i := range evs {
+		evs[i].DecodeDetail()
+	}
 	if _, err := DetectRaces(evs); err == nil {
 		t.Fatal("gapped trace must error, not report race-free")
 	} else if !strings.Contains(err.Error(), "seq gaps") {
@@ -273,6 +277,9 @@ func TestRacesNonMonotoneSeqErrors(t *testing.T) {
 	evs := []protocol.TraceEvent{
 		{Seq: 2, Proc: 0, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
 		{Seq: 1, Proc: 1, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
+	}
+	for i := range evs {
+		evs[i].DecodeDetail()
 	}
 	if _, err := DetectRaces(evs); err == nil {
 		t.Fatal("non-monotone seq must error")

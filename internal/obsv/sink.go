@@ -113,7 +113,7 @@ func (s *JSONLSink) Event(e protocol.TraceEvent) {
 			return
 		}
 	}
-	s.err = WriteEvent(s.bw, e)
+	_, s.err = s.bw.Write(appendEvent(s.bw.AvailableBuffer(), &e))
 	s.n++
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/memchan"
 	"repro/internal/protocol"
 )
 
@@ -86,31 +87,6 @@ func (ss *SpanSet) DroppedTotal() int {
 	return n
 }
 
-// xmitInfo is the parsed payload of an xmit event.
-type xmitInfo struct {
-	dst, req                  int
-	arrive, queue, wire, xfer int64
-	via                       string
-}
-
-// parseXmit extracts an xmit event's fields; ok is false on malformed detail.
-func parseXmit(detail string) (xmitInfo, bool) {
-	var x xmitInfo
-	n, err := fmt.Sscanf(detail, "to p%d R%d arrive=%d queue=%d wire=%d xfer=%d via=%s",
-		&x.dst, &x.req, &x.arrive, &x.queue, &x.wire, &x.xfer, &x.via)
-	return x, n == 7 && err == nil
-}
-
-// parseHandleReq extracts the requester from a handle event's detail
-// ("from R<req> ..."); ok is false when absent.
-func parseHandleReq(detail string) (int, bool) {
-	var r int
-	if n, err := fmt.Sscanf(detail, "from R%d", &r); n == 1 && err == nil {
-		return r, true
-	}
-	return 0, false
-}
-
 // legRole classifies a message leg within a span.
 type legRole int
 
@@ -155,7 +131,7 @@ type spanLeg struct {
 	sendProc int
 	req      int // requester, -1 until known
 	hasXmit  bool
-	x        xmitInfo
+	x        memchan.SendInfo
 	b        *spanBuilder // owning span, nil until known (xmit-less forwards)
 }
 
@@ -240,11 +216,11 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			if !isLeg {
 				continue
 			}
-			dst, ok := parseSendDst(e.Detail)
-			if !ok {
+			if !e.Typed {
 				unparsed++
 				continue
 			}
+			dst := int(e.Peer)
 			leg := &spanLeg{role: role, sendTime: e.Time, sendProc: e.Proc, req: -1}
 			switch role {
 			case legReq:
@@ -257,17 +233,17 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			lastLeg[e.Proc] = leg
 
 		case "xmit":
-			x, ok := parseXmit(e.Detail)
-			if !ok {
+			if !e.Typed {
 				unparsed++
 				continue
 			}
+			x, xreq := e.Xmit, int(e.Req)
 			if leg := lastLeg[e.Proc]; leg != nil && !leg.hasXmit && leg.sendTime == e.Time {
 				// The usual case: the xmit annotates the send just
 				// emitted by this processor.
 				leg.hasXmit, leg.x = true, x
 				if leg.req < 0 {
-					leg.req = x.req
+					leg.req = xreq
 					attachLegX(leg, e, active, ss)
 				}
 				delete(lastLeg, e.Proc)
@@ -279,9 +255,10 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 				continue
 			}
 			leg := &spanLeg{role: role, sendTime: e.Time, sendProc: e.Proc,
-				req: x.req, hasXmit: true, x: x}
+				req: xreq, hasXmit: true, x: x}
 			attachLegX(leg, e, active, ss)
-			fifo[sendKey{e.Msg, e.BaseLine, x.dst}] = append(fifo[sendKey{e.Msg, e.BaseLine, x.dst}], leg)
+			k := sendKey{e.Msg, e.BaseLine, int(e.Peer)}
+			fifo[k] = append(fifo[k], leg)
 
 		case "handle":
 			if !isLeg {
@@ -296,7 +273,7 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			// back to positional order only when the trace lacks it.
 			k := sendKey{e.Msg, e.BaseLine, e.Proc}
 			q := fifo[k]
-			r, hasR := parseHandleReq(e.Detail)
+			r, hasR := int(e.Req), e.Typed
 			if role == legReply {
 				// Replies do not carry a requester field; their
 				// destination — this processor — is the requester.
@@ -480,7 +457,7 @@ func attachLeg(leg *spanLeg, e protocol.TraceEvent, active map[rbKey]*spanBuilde
 }
 
 // attachLegX attaches a leg whose requester only became known from its xmit
-// event (forwards, whose send detail does not carry the requester).
+// event (forwards, whose send event does not carry the requester).
 func attachLegX(leg *spanLeg, e protocol.TraceEvent, active map[rbKey]*spanBuilder, ss *SpanSet) {
 	if leg.b != nil || leg.req < 0 {
 		return
@@ -503,10 +480,8 @@ func resolveLeg(leg *spanLeg, role legRole, e protocol.TraceEvent,
 	active map[rbKey]*spanBuilder, ss *SpanSet) {
 	if leg.b == nil {
 		r := leg.req
-		if r < 0 {
-			if hr, ok := parseHandleReq(e.Detail); ok {
-				r = hr
-			}
+		if r < 0 && e.Typed {
+			r = int(e.Req)
 		}
 		if r >= 0 {
 			if b := active[rbKey{r, e.BaseLine}]; b != nil {
@@ -569,8 +544,8 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 			add("issue", b.reqLeg.sendTime)
 		}
 		if b.reqLeg.hasXmit {
-			add("req-queue", b.reqLeg.sendTime+b.reqLeg.x.queue)
-			add("req-wire", b.reqLeg.x.arrive)
+			add("req-queue", b.reqLeg.sendTime+b.reqLeg.x.Queue)
+			add("req-wire", b.reqLeg.x.Arrival)
 			add("home-inbox", b.homeHandle)
 		} else {
 			add("req-flight", b.homeHandle)
@@ -595,8 +570,8 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 	if b.fwdLeg != nil {
 		add("home-serve", b.fwdLeg.sendTime)
 		if b.fwdLeg.hasXmit {
-			add("fwd-queue", b.fwdLeg.sendTime+b.fwdLeg.x.queue)
-			add("fwd-wire", b.fwdLeg.x.arrive)
+			add("fwd-queue", b.fwdLeg.sendTime+b.fwdLeg.x.Queue)
+			add("fwd-wire", b.fwdLeg.x.Arrival)
 			add("owner-inbox", b.ownerHandle)
 		} else {
 			add("fwd-flight", b.ownerHandle)
@@ -615,8 +590,8 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 	if b.replyLeg != nil {
 		add(serve, b.replyLeg.sendTime)
 		if b.replyLeg.hasXmit {
-			add("reply-queue", b.replyLeg.sendTime+b.replyLeg.x.queue)
-			add("reply-wire", b.replyLeg.x.arrive)
+			add("reply-queue", b.replyLeg.sendTime+b.replyLeg.x.Queue)
+			add("reply-wire", b.replyLeg.x.Arrival)
 			add("reply-inbox", b.replyHandle)
 		} else {
 			add("reply-flight", b.replyHandle)
@@ -630,7 +605,7 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 // roundUplink reports whether any of the round's legs crossed an uplink.
 func (b *spanBuilder) roundUplink() bool {
 	for _, leg := range []*spanLeg{b.reqLeg, b.fwdLeg, b.replyLeg} {
-		if leg != nil && leg.hasXmit && leg.x.via == "uplink" {
+		if leg != nil && leg.hasXmit && leg.x.Uplink {
 			return true
 		}
 	}
@@ -724,12 +699,8 @@ func (b *spanBuilder) finalize(install protocol.TraceEvent) (Span, string) {
 	if b.ownerHandle != 0 || b.fwdLeg != nil {
 		sp.Hops = 3
 	}
-	var seq int64
-	var hops int
-	if n, err := fmt.Sscanf(install.Detail, "shared seq=%d hops=%d", &seq, &hops); n == 2 && err == nil {
-		sp.Hops = hops
-	} else if n, err := fmt.Sscanf(install.Detail, "exclusive seq=%d hops=%d", &seq, &hops); n == 2 && err == nil {
-		sp.Hops = hops
+	if install.Typed && install.Grant != protocol.GrantUpgrade {
+		sp.Hops = int(install.Hops)
 	}
 	sp.Uplink = b.uplink || b.roundUplink()
 	return sp, ""

@@ -25,6 +25,7 @@ func (b *traceBuilder) ev(t int64, proc int, op, msg string, blk int, detail str
 	b.evs = append(b.evs, protocol.TraceEvent{
 		Seq: b.seq, Time: t, Proc: proc, Op: op, Msg: msg, BaseLine: blk, Detail: detail,
 	})
+	b.evs[len(b.evs)-1].DecodeDetail()
 }
 
 // sumStages asserts that every span's stage durations telescope exactly to
@@ -57,13 +58,13 @@ func stageNames(s *obsv.Span) []string {
 
 func TestSpanTwoHopWithXmit(t *testing.T) {
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
+	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
 	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
 	b.ev(110, 4, "xmit", "ReadReq", 0, "to p0 R4 arrive=1500 queue=40 wire=1200 xfer=150 via=remote")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
+	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=I priv=I seq=0 entry=-")
 	b.ev(1700, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
 	b.ev(1700, 0, "xmit", "DataReply", 0, "to p4 R4 arrive=3100 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(3200, 4, "handle", "DataReply", 0, "from R99 seq=2: state=Pending")
+	b.ev(3200, 4, "handle", "DataReply", 0, "from R99 seq=2: state=I priv=I seq=0 entry=-")
 	b.ev(3300, 4, "install", "", 0, "shared seq=2 hops=2")
 
 	ss := obsv.BuildSpans(b.evs)
@@ -100,16 +101,16 @@ func TestSpanTwoHopWithXmit(t *testing.T) {
 
 func TestSpanThreeHopForward(t *testing.T) {
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 64, "read issued r=1 w=0: state=Invalid")
+	b.ev(100, 4, "miss", "", 64, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
 	b.ev(110, 4, "send", "ReadReq", 64, "to p0 seq=1 acks=0")
 	b.ev(110, 4, "xmit", "ReadReq", 64, "to p0 R4 arrive=1500 queue=40 wire=1200 xfer=150 via=remote")
-	b.ev(1600, 0, "handle", "ReadReq", 64, "from R4 seq=1: state=Home")
+	b.ev(1600, 0, "handle", "ReadReq", 64, "from R4 seq=1: state=I priv=I seq=0 entry=-")
 	b.ev(1650, 0, "send", "ReadFwd", 64, "to p2 seq=2 acks=0")
 	b.ev(1650, 0, "xmit", "ReadFwd", 64, "to p2 R4 arrive=3000 queue=0 wire=1200 xfer=150 via=remote")
-	b.ev(3100, 2, "handle", "ReadFwd", 64, "from R4 seq=2: state=Exclusive")
+	b.ev(3100, 2, "handle", "ReadFwd", 64, "from R4 seq=2: state=I priv=I seq=0 entry=-")
 	b.ev(3200, 2, "send", "DataReply", 64, "to p4 seq=3 acks=0")
 	b.ev(3200, 2, "xmit", "DataReply", 64, "to p4 R4 arrive=4600 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(4700, 4, "handle", "DataReply", 64, "from R0 seq=3: state=Pending")
+	b.ev(4700, 4, "handle", "DataReply", 64, "from R0 seq=3: state=I priv=I seq=0 entry=-")
 	b.ev(4800, 4, "install", "", 64, "shared seq=3 hops=3")
 
 	ss := obsv.BuildSpans(b.evs)
@@ -131,13 +132,13 @@ func TestSpanThreeHopForward(t *testing.T) {
 
 func TestSpanUpgrade(t *testing.T) {
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "upgrade issued r=0 w=1: state=Shared")
+	b.ev(100, 4, "miss", "", 0, "upgrade issued r=0 w=1: state=I priv=I seq=0 entry=-")
 	b.ev(110, 4, "send", "UpgradeReq", 0, "to p0 seq=1 acks=0")
 	b.ev(110, 4, "xmit", "UpgradeReq", 0, "to p0 R4 arrive=1500 queue=0 wire=1200 xfer=60 via=remote")
-	b.ev(1600, 0, "handle", "UpgradeReq", 0, "from R4 seq=1: state=Home")
+	b.ev(1600, 0, "handle", "UpgradeReq", 0, "from R4 seq=1: state=I priv=I seq=0 entry=-")
 	b.ev(1700, 0, "send", "UpgradeAck", 0, "to p4 seq=2 acks=0")
 	b.ev(1700, 0, "xmit", "UpgradeAck", 0, "to p4 R4 arrive=3100 queue=0 wire=1200 xfer=60 via=remote")
-	b.ev(3200, 4, "handle", "UpgradeAck", 0, "from R0 seq=2: state=Pending")
+	b.ev(3200, 4, "handle", "UpgradeAck", 0, "from R0 seq=2: state=I priv=I seq=0 entry=-")
 	b.ev(3250, 4, "install", "", 0, "upgrade seq=2 acks=0")
 
 	ss := obsv.BuildSpans(b.evs)
@@ -154,10 +155,10 @@ func TestSpanDirectPath(t *testing.T) {
 	// The home shares the requester's group: the request is dispatched
 	// without a send event and only the handle names the requester.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(200, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
+	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
+	b.ev(200, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=I priv=I seq=0 entry=-")
 	b.ev(250, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
-	b.ev(400, 4, "handle", "DataReply", 0, "from R0 seq=2: state=Pending")
+	b.ev(400, 4, "handle", "DataReply", 0, "from R0 seq=2: state=I priv=I seq=0 entry=-")
 	b.ev(450, 4, "install", "", 0, "shared seq=2 hops=1")
 
 	ss := obsv.BuildSpans(b.evs)
@@ -181,12 +182,12 @@ func TestSpanRequeueWithoutXmit(t *testing.T) {
 	// event; without xmit evidence the transits collapse into compound
 	// "-flight" stages that still telescope exactly.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
+	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
 	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Busy")
-	b.ev(2000, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
+	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=I priv=I seq=0 entry=-")
+	b.ev(2000, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=I priv=I seq=0 entry=-")
 	b.ev(2100, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
-	b.ev(3200, 4, "handle", "DataReply", 0, "from R0 seq=2: state=Pending")
+	b.ev(3200, 4, "handle", "DataReply", 0, "from R0 seq=2: state=I priv=I seq=0 entry=-")
 	b.ev(3300, 4, "install", "", 0, "shared seq=2 hops=2")
 
 	ss := obsv.BuildSpans(b.evs)
@@ -207,20 +208,20 @@ func TestSpanRetryFolding(t *testing.T) {
 	// round's reply installs. The two rounds fold into one span with an
 	// explicit "retry" stage, still summing exactly.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
+	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
 	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
 	b.ev(110, 4, "xmit", "ReadReq", 0, "to p0 R4 arrive=1500 queue=40 wire=1200 xfer=150 via=remote")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
+	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=I priv=I seq=0 entry=-")
 	b.ev(1700, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
 	b.ev(1700, 0, "xmit", "DataReply", 0, "to p4 R4 arrive=3100 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(3200, 4, "handle", "DataReply", 0, "from R0 seq=2: state=Pending") // superseded: no install
-	b.ev(3250, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
+	b.ev(3200, 4, "handle", "DataReply", 0, "from R0 seq=2: state=I priv=I seq=0 entry=-") // superseded: no install
+	b.ev(3250, 4, "miss", "", 0, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
 	b.ev(3300, 4, "send", "ReadReq", 0, "to p0 seq=3 acks=0")
 	b.ev(3300, 4, "xmit", "ReadReq", 0, "to p0 R4 arrive=4700 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(4800, 0, "handle", "ReadReq", 0, "from R4 seq=3: state=Home")
+	b.ev(4800, 0, "handle", "ReadReq", 0, "from R4 seq=3: state=I priv=I seq=0 entry=-")
 	b.ev(4900, 0, "send", "DataReply", 0, "to p4 seq=4 acks=0")
 	b.ev(4900, 0, "xmit", "DataReply", 0, "to p4 R4 arrive=6300 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(6400, 4, "handle", "DataReply", 0, "from R0 seq=4: state=Pending")
+	b.ev(6400, 4, "handle", "DataReply", 0, "from R0 seq=4: state=I priv=I seq=0 entry=-")
 	b.ev(6500, 4, "install", "", 0, "shared seq=4 hops=2")
 
 	ss := obsv.BuildSpans(b.evs)
@@ -256,17 +257,17 @@ func TestSpanConcurrentRequestersSameBlock(t *testing.T) {
 	// of order, so positional send/handle matching would mis-pair them.
 	// The requester named by each handle keeps the pairing straight.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
+	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
 	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(120, 5, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
+	b.ev(120, 5, "miss", "", 0, "read issued r=1 w=0: state=I priv=I seq=0 entry=-")
 	b.ev(130, 5, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R5 seq=1: state=Home") // p5 first
+	b.ev(1600, 0, "handle", "ReadReq", 0, "from R5 seq=1: state=I priv=I seq=0 entry=-") // p5 first
 	b.ev(1700, 0, "send", "DataReply", 0, "to p5 seq=2 acks=0")
-	b.ev(1800, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
+	b.ev(1800, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=I priv=I seq=0 entry=-")
 	b.ev(1900, 0, "send", "DataReply", 0, "to p4 seq=3 acks=0")
-	b.ev(3100, 5, "handle", "DataReply", 0, "from R0 seq=2: state=Pending")
+	b.ev(3100, 5, "handle", "DataReply", 0, "from R0 seq=2: state=I priv=I seq=0 entry=-")
 	b.ev(3150, 5, "install", "", 0, "shared seq=2 hops=2")
-	b.ev(3300, 4, "handle", "DataReply", 0, "from R0 seq=3: state=Pending")
+	b.ev(3300, 4, "handle", "DataReply", 0, "from R0 seq=3: state=I priv=I seq=0 entry=-")
 	b.ev(3350, 4, "install", "", 0, "shared seq=3 hops=2")
 
 	ss := obsv.BuildSpans(b.evs)

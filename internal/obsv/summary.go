@@ -165,8 +165,8 @@ func Timeline(events []protocol.TraceEvent, block int) string {
 		if e.Msg != "" {
 			fmt.Fprintf(&b, " %-18s", e.Msg)
 		}
-		if e.Detail != "" {
-			fmt.Fprintf(&b, " %s", e.Detail)
+		if d := e.AppendDetail(nil); len(d) > 0 {
+			fmt.Fprintf(&b, " %s", d)
 		}
 		b.WriteByte('\n')
 	}

@@ -208,19 +208,20 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 
 	for i := range events {
 		e := &events[i]
-		if e.Op != "sync" {
+		if e.Op != "sync" || !e.Typed {
 			continue
 		}
-		var id, prev, hops, gen int
-		switch {
-		case scan(e.Detail, "lock-acquire id=%d", &id):
+		id := int(e.ID)
+		gen := id // barrier events carry their generation in ID
+		switch e.Sync {
+		case protocol.SyncLockAcquire:
 			k := lockProcKey{e.Proc, id}
 			if _, dup := pending[k]; dup {
 				ss.Dropped["acquire-unmatched"]++
 			}
 			pending[k] = pendingAcq{time: e.Time}
 
-		case scan3(e.Detail, "lock-acquired id=%d prev=%d hops=%d", &id, &prev, &hops):
+		case protocol.SyncLockAcquired:
 			k := lockProcKey{e.Proc, id}
 			pa, ok := pending[k]
 			if !ok {
@@ -234,12 +235,12 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			open[k] = openAcq{acq: LockAcq{
 				Proc: e.Proc, Seq: e.Seq,
 				AcquireTime: pa.time, GrantTime: e.Time, ReleaseTime: -1,
-				Prev: prev, Hops: hops,
+				Prev: int(e.Prev), Hops: int(e.Hops),
 			}}
 			intervals[e.Proc] = append(intervals[e.Proc],
 				syncInterval{pa.time, e.Time, fmt.Sprintf("lock %d", id)})
 
-		case scan(e.Detail, "lock-release id=%d", &id):
+		case protocol.SyncLockRelease:
 			k := lockProcKey{e.Proc, id}
 			oa, ok := open[k]
 			if !ok {
@@ -250,7 +251,7 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			oa.acq.ReleaseTime = e.Time
 			record(ss, lockOf(id), oa.acq, waitFor)
 
-		case scan(e.Detail, "barrier gen=%d", &gen):
+		case protocol.SyncBarrier:
 			k := barKey{e.Proc, gen}
 			if _, dup := arrivals[k]; dup {
 				ss.Dropped["barrier-rearrival"]++
@@ -266,7 +267,7 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			}
 			g.Arrivals++
 
-		case scan(e.Detail, "barrier-depart gen=%d", &gen):
+		case protocol.SyncBarrierDepart:
 			k := barKey{e.Proc, gen}
 			at, ok := arrivals[k]
 			if !ok {
@@ -406,55 +407,19 @@ func (ss *SyncSet) critAttribute(c *Causal, intervals map[int][]syncInterval) {
 // "lock <id>" or "barrier" for sync operations and lock/barrier protocol
 // messages, "" for everything else. Race witnesses use it to name the sync
 // edge a race slipped past.
-func SyncPrim(op, msg, detail string) string {
-	switch op {
-	case "sync":
-		switch {
-		case strings.HasPrefix(detail, "lock-"):
-			if id, ok := detailID(detail); ok {
-				return fmt.Sprintf("lock %d", id)
-			}
-		case strings.HasPrefix(detail, "barrier"):
-			return "barrier"
-		}
-	case "send", "handle":
-		switch msg {
-		case "LockReq", "LockGrant", "LockRel":
-			if id, ok := detailID(detail); ok {
-				return fmt.Sprintf("lock %d", id)
-			}
-			// Pre-extension traces carry no id on lock messages.
-			return "lock ?"
-		case "BarArrive", "BarGo":
-			return "barrier"
-		}
+func SyncPrim(e *protocol.TraceEvent) string {
+	sync := e.Op == "sync" && e.Typed
+	lockMsg := e.Msg == "LockReq" || e.Msg == "LockGrant" || e.Msg == "LockRel"
+	switch {
+	case e.Msg == "BarArrive" || e.Msg == "BarGo", sync && e.Sync.Barrier():
+		return "barrier"
+	case sync, lockMsg && e.HasID:
+		return fmt.Sprintf("lock %d", e.ID)
+	case lockMsg:
+		// Pre-extension traces carry no id on lock messages.
+		return "lock ?"
 	}
 	return ""
-}
-
-// detailID extracts the "id=<n>" field of a sync event or message detail.
-func detailID(detail string) (int, bool) {
-	i := strings.Index(detail, "id=")
-	if i < 0 {
-		return 0, false
-	}
-	var id int
-	if n, err := fmt.Sscanf(detail[i:], "id=%d", &id); n == 1 && err == nil {
-		return id, true
-	}
-	return 0, false
-}
-
-// scan is a strict single-int Sscanf that also rejects trailing garbage
-// mismatches conservatively (Sscanf already requires the literal prefix).
-func scan(detail, format string, a *int) bool {
-	n, err := fmt.Sscanf(detail, format, a)
-	return n == 1 && err == nil
-}
-
-func scan3(detail, format string, a, b, c *int) bool {
-	n, err := fmt.Sscanf(detail, format, a, b, c)
-	return n == 3 && err == nil
 }
 
 // waits and holds return the lock's sorted wait and hold distributions.

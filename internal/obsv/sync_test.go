@@ -137,8 +137,7 @@ func TestBuildSyncGapped(t *testing.T) {
 	// unmatched, all releases orphaned, all arrivals unmatched.
 	var gapped []protocol.TraceEvent
 	for _, e := range events {
-		if e.Op == "sync" && (strings.HasPrefix(e.Detail, "lock-acquired") ||
-			strings.HasPrefix(e.Detail, "barrier-depart")) {
+		if e.Op == "sync" && (e.Sync == protocol.SyncLockAcquired || e.Sync == protocol.SyncBarrierDepart) {
 			continue
 		}
 		gapped = append(gapped, e)
@@ -174,12 +173,12 @@ func TestBuildSyncGapped(t *testing.T) {
 // enrichment: plain "lock-acquire"/"barrier" events with no grant or
 // depart markers degrade to dropped lifecycles, not guesses.
 func TestBuildSyncPreExtension(t *testing.T) {
-	ss := obsv.BuildSync([]protocol.TraceEvent{
+	ss := obsv.BuildSync(decoded([]protocol.TraceEvent{
 		{Seq: 1, Time: 10, Proc: 0, Op: "sync", BaseLine: -1, Detail: "lock-acquire id=3"},
 		{Seq: 2, Time: 40, Proc: 0, Op: "sync", BaseLine: -1, Detail: "lock-release id=3"},
 		{Seq: 3, Time: 50, Proc: 0, Op: "sync", BaseLine: -1, Detail: "barrier gen=0"},
 		{Seq: 4, Time: 55, Proc: 1, Op: "sync", BaseLine: -1, Detail: "barrier gen=0"},
-	})
+	}))
 	if len(ss.Locks) != 0 || len(ss.Gens) != 1 {
 		t.Fatalf("locks %v gens %v", ss.Locks, ss.Gens)
 	}
@@ -204,6 +203,7 @@ func FuzzBuildSync(f *testing.F) {
 				Seq: uint64(i * 2), Time: int64(i % 7), Proc: i % 3,
 				Op: string(op), BaseLine: -1, Detail: string(detail),
 			})
+			events[i].DecodeDetail()
 		}
 		ss := obsv.BuildSync(events)
 		if got := obsv.FormatSync(ss, 3); got != obsv.FormatSync(obsv.BuildSync(events), 3) {

@@ -208,7 +208,7 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 		// processor's synchronization state when the accesses ran.
 		for _, base := range bases {
 			if a := b.acc[base]; a != nil && (a.rd|a.wr) != 0 {
-				p.trace("touch", "", base, "r=%x w=%x", a.rd, a.wr)
+				p.trace("touch", "", base, TraceFields{Rd: a.rd, Wr: a.wr})
 			}
 		}
 		// Markers exist only when the miss handler ran; a batch whose
@@ -237,7 +237,7 @@ func (p *Proc) batchStateOK(base int, store bool) bool {
 func (p *Proc) batchMiss(bases []int, needs map[int]need2) {
 	c := p.sys.cfg.Costs
 	p.charge(stats.Task, c.Entry)
-	p.trace("batch", "", -1, "%d blocks", len(bases))
+	p.trace("batch", "", -1, TraceFields{N: int32(len(bases))})
 	for _, base := range bases {
 		b := p.blockStat(base)
 		b.ReadMask |= needs[base].rdMask

@@ -22,13 +22,15 @@ func (p *Proc) send(dst int, m *pmsg, cat stats.TimeCategory) {
 	c := p.sys.cfg.Costs
 	p.charge(cat, c.SendOverhead)
 	if m.kind != mWake {
-		// Sync messages name their primitive (lock id, or barrier
-		// generation) so the sync analyzer and race witnesses can
-		// attribute them; prefix parsers ("to p<dst>") are unaffected.
-		if m.kind.syncMsg() {
-			p.trace("send", m.kind.String(), m.baseLine, "to p%d seq=%d acks=%d id=%d", dst, m.seq, m.acks, m.id)
-		} else {
-			p.trace("send", m.kind.String(), m.baseLine, "to p%d seq=%d acks=%d", dst, m.seq, m.acks)
+		if p.sys.tracer != nil {
+			// Sync messages name their primitive (lock id, or barrier
+			// generation) so the sync analyzer and race witnesses can
+			// attribute them.
+			f := TraceFields{Peer: int32(dst), MsgSeq: m.seq, Acks: int32(m.acks)}
+			if m.kind.syncMsg() {
+				f.HasID, f.ID = true, int32(m.id)
+			}
+			p.trace("send", m.kind.String(), m.baseLine, f)
 		}
 		switch {
 		case m.kind == mDowngradeToShared || m.kind == mDowngradeToInvalid:
@@ -45,9 +47,7 @@ func (p *Proc) send(dst int, m *pmsg, cat stats.TimeCategory) {
 		if m.kind.spanReply() {
 			r = dst
 		}
-		p.trace("xmit", m.kind.String(), m.baseLine,
-			"to p%d R%d arrive=%d queue=%d wire=%d xfer=%d via=%s",
-			dst, r, info.Arrival, info.Queue, info.Wire, info.Transfer, info.Via())
+		p.trace("xmit", m.kind.String(), m.baseLine, TraceFields{Peer: int32(dst), Req: int32(r), Xmit: info})
 	}
 }
 
@@ -83,26 +83,20 @@ func (p *Proc) wakeAll(waiters procSet) {
 	waiters.forEach(func(w int) { p.wake(w) })
 }
 
-// debugTraceBlock, when nonnegative, logs every protocol message for the
-// block with that base line.
-var debugTraceBlock = -1
-
-// SetDebugTraceBlock enables message tracing for one block base line.
-func SetDebugTraceBlock(base int) { debugTraceBlock = base }
-
 // handle dispatches one protocol message, measuring handler occupancy for
 // top-level dispatches (nested replays are part of their enclosing
 // dispatch; wakeups are free and not counted).
 func (p *Proc) handle(m *pmsg) {
 	if m.kind != mWake {
-		detail := ""
-		if m.baseLine >= 0 {
-			detail = p.traceState(m.baseLine)
-		} else if m.kind.syncMsg() {
-			detail = fmt.Sprintf("id=%d", m.id)
+		if p.sys.tracer != nil {
+			f := TraceFields{Req: int32(m.requester), MsgSeq: m.seq}
+			if m.baseLine >= 0 {
+				f.HasBlock, f.Block = true, p.blockState(m.baseLine)
+			} else if m.kind.syncMsg() {
+				f.HasID, f.ID = true, int32(m.id)
+			}
+			p.trace("handle", m.kind.String(), m.baseLine, f)
 		}
-		p.trace("handle", m.kind.String(), m.baseLine, "from R%d seq=%d: %s",
-			m.requester, m.seq, detail)
 		if p.handlerDepth == 0 {
 			start := p.sp.Now()
 			p.handlerDepth++
@@ -112,16 +106,6 @@ func (p *Proc) handle(m *pmsg) {
 				p.st.HandlerEvents++
 			}()
 		}
-	}
-	if debugTraceBlock >= 0 && m.baseLine == debugTraceBlock && m.kind != mWake {
-		e := p.grp.miss[m.baseLine]
-		ek := "-"
-		if e != nil && !e.complete {
-			ek = e.kind.String()
-		}
-		fmt.Printf("[blk%d @%d] proc %d (grp %d) handles %v from R%d seq %d: state %v copySeq %d entry %s\n",
-			m.baseLine, p.sp.Now(), p.id, p.grp.id, m.kind, m.requester, m.seq,
-			p.grp.img.State(m.baseLine), p.grp.copySeq[m.baseLine], ek)
 	}
 	if p.sys.cfg.Migrate {
 		switch m.kind {
@@ -424,10 +408,6 @@ func (p *Proc) sendInvals(base int, targets procSet, requester int, seq int64) {
 	if targets.empty() {
 		return
 	}
-	if debugTraceBlock >= 0 && base == debugTraceBlock {
-		fmt.Printf("[blk%d @%d] proc %d sends invals to %v for R%d seq %d\n",
-			base, p.sp.Now(), p.id, targets, requester, seq)
-	}
 	p.blockStat(base).InvalsSent += int64(targets.count())
 	targets.forEach(func(t int) {
 		p.send(t, &pmsg{kind: mInval, baseLine: base, requester: requester,
@@ -620,10 +600,7 @@ func (p *Proc) handleSharingUpdate(m *pmsg) {
 // group, deferring the flag store if a batch has the block marked
 // (Section 3.4.4).
 func (p *Proc) invalidateLocal(base int) {
-	if debugTraceBlock >= 0 && base == debugTraceBlock {
-		fmt.Printf("[blk%d @%d] proc %d invalidateLocal (marks %d)\n", base, p.sp.Now(), p.id, p.grp.batchMarks[base])
-	}
-	p.trace("invalidate", "", base, "deferred=%v", p.grp.batchMarks[base] > 0)
+	p.trace("invalidate", "", base, TraceFields{Deferred: p.grp.batchMarks[base] > 0})
 	if p.grp.batchMarks[base] > 0 {
 		// The flag store is deferred until the batch ends; state becomes
 		// invalid immediately so new protocol entries behave correctly.
@@ -779,7 +756,7 @@ func (p *Proc) handleDataReply(m *pmsg) {
 	p.mergeStores(entry)
 	p.grp.copySeq[base] = m.seq
 	entry.dataArrived = true
-	p.trace("install", "", base, "shared seq=%d hops=%d", m.seq, m.hops)
+	p.trace("install", "", base, TraceFields{Grant: GrantShared, MsgSeq: m.seq, Hops: int32(m.hops)})
 	p.st.ReadLatencySum += p.sp.Now() - m.issueTime
 	p.st.ReadLatencyCount++
 	p.recordMissLatency(stats.ReadMiss, base, m.issueTime)
@@ -831,7 +808,7 @@ func (p *Proc) handleDataExclReply(m *pmsg) {
 	entry.dataArrived = true
 	entry.exclGranted = true
 	entry.acksExpected = m.acks
-	p.trace("install", "", base, "exclusive seq=%d hops=%d acks=%d", m.seq, m.hops, m.acks)
+	p.trace("install", "", base, TraceFields{Grant: GrantExclusive, MsgSeq: m.seq, Hops: int32(m.hops), Acks: int32(m.acks)})
 	if entry.kind == stats.ReadMiss {
 		p.st.ReadLatencySum += p.sp.Now() - m.issueTime
 		p.st.ReadLatencyCount++
@@ -873,7 +850,7 @@ func (p *Proc) handleUpgradeAck(m *pmsg) {
 	entry.exclGranted = true
 	entry.acksExpected = m.acks
 	p.grp.copySeq[base] = m.seq
-	p.trace("install", "", base, "upgrade seq=%d acks=%d", m.seq, m.acks)
+	p.trace("install", "", base, TraceFields{Grant: GrantUpgrade, MsgSeq: m.seq, Acks: int32(m.acks)})
 	p.recordMissLatency(stats.UpgradeMiss, base, m.issueTime)
 	p.grp.img.SetBlockState(base, memory.Exclusive)
 	if entry.issuer == p.id {
@@ -997,7 +974,7 @@ func (p *Proc) startDowngrade(base int, target, preState memory.State, action fu
 			recipients = append(recipients, mem)
 		}
 	}
-	p.trace("downgrade", "", base, "to %v, %d recipients (pre %v)", target, len(recipients), preState)
+	p.trace("downgrade", "", base, TraceFields{To: target, N: int32(len(recipients)), Pre: preState})
 	// Downgrade our own private state immediately.
 	p.downgradePriv(base, target)
 	if p.sys.cfg.SMP() {

@@ -248,8 +248,9 @@ func (p *Proc) maybeMigrate(base int) {
 func (p *Proc) migrateTo(base int, de *dirEntry, target int, homeCost, bestCost, thresh int64) {
 	p.st.Migrations++
 	p.blockStat(base).Migrations++
-	p.trace("migrate", "", base, "to p%d homeCost=%d bestCost=%d thresh=%d moved=%d",
-		target, homeCost, bestCost, thresh, de.mig.moved)
+	f := TraceFields{Peer: int32(target), N: int32(de.mig.moved)}
+	f.Cost.Home, f.Cost.Best, f.Cost.Thresh = homeCost, bestCost, thresh
+	p.trace("migrate", "", base, f)
 	p.migSeq++
 	if p.migrated == nil {
 		p.migrated = make(map[int]*migRec)
@@ -296,7 +297,7 @@ func (p *Proc) handleMigrate(m *pmsg) {
 	}
 	p.sys.liveHome[base] = int32(p.id)
 	p.sys.lay.BumpMigEpoch(base)
-	p.trace("migrate", "", base, "installed from p%d moved=%d", m.requester, m.mig.moved)
+	p.trace("migrate", "", base, TraceFields{Installed: true, Peer: int32(m.requester), N: int32(m.mig.moved)})
 	p.send(m.requester, &pmsg{kind: mMigrateAck, baseLine: base, id: m.id}, stats.Message)
 	for _, q := range replay {
 		p.handle(q)
@@ -339,7 +340,7 @@ func (p *Proc) divertMigrated(rec *migRec, m *pmsg) {
 // MigForward.
 func (p *Proc) forwardMigrated(rec *migRec, m *pmsg) {
 	p.st.MigForwards++
-	p.trace("migfwd", m.kind.String(), m.baseLine, "to p%d R%d", rec.to, m.requester)
+	p.trace("migfwd", m.kind.String(), m.baseLine, TraceFields{Peer: int32(rec.to), Req: int32(m.requester)})
 	if p.sys.net.SameNode(p.id, rec.to) {
 		p.st.Messages[stats.LocalMsg]++
 	} else {

@@ -212,7 +212,7 @@ func (p *Proc) setPrivBlock(baseLine int, st memory.State) {
 		return
 	}
 	if st.Valid() {
-		p.trace("privup", "", baseLine, "to %v", st)
+		p.trace("privup", "", baseLine, TraceFields{To: st})
 	}
 	p.priv.SetBlock(p.sys.lay, baseLine, st)
 }
@@ -288,10 +288,6 @@ func (p *Proc) loadMiss(addr memory.Addr, size int) uint64 {
 	p.charge(stats.Task, c.Entry)
 	base, lines := p.sys.lay.BlockOf(addr)
 	mask := p.markAccess(base, lines, addr, size, false)
-	if debugTraceBlock >= 0 && base == debugTraceBlock {
-		fmt.Printf("[blk%d @%d] proc %d loadMiss addr %d: state %v entry %v\n",
-			base, p.sp.Now(), p.id, addr, p.grp.img.State(base), p.grp.miss[base] != nil)
-	}
 	for {
 		p.lockBlock(base)
 		// An existing miss entry takes precedence over the state table:
@@ -541,17 +537,16 @@ func (p *Proc) stallOutstanding() {
 
 // newMissEntry creates and registers a miss entry for a block. rdMask and
 // wrMask are the sub-block slots the triggering access touches; they ride in
-// the miss event's free-form detail as the race detector's offset evidence
-// (see internal/obsv/races.go). Batch misses pass declared=true: their masks
-// are the batch's conservatively declared reference ranges, not actual
-// accesses (the batch emits touch events with the exact slots instead), and
-// the detail marks them so the detector does not mistake them for evidence.
+// the miss event as the race detector's offset evidence (see
+// internal/obsv/races.go). Batch misses pass declared=true: their masks are
+// the batch's conservatively declared reference ranges, not actual accesses
+// (the batch emits touch events with the exact slots instead), and the event
+// marks them so the detector does not mistake them for evidence.
 func (p *Proc) newMissEntry(base int, kind stats.MissKind, rdMask, wrMask uint64, declared bool) *missEntry {
 	p.charge(stats.Other, p.sys.cfg.Costs.MissTableOp)
-	if declared {
-		p.trace("miss", "", base, "%v issued declared r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
-	} else {
-		p.trace("miss", "", base, "%v issued r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
+	if p.sys.tracer != nil {
+		p.trace("miss", "", base, TraceFields{Kind: kind, Declared: declared, HasMasks: true,
+			Rd: rdMask, Wr: wrMask, HasBlock: true, Block: p.blockState(base)})
 	}
 	e := &missEntry{
 		baseLine:  base,

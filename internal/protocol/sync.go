@@ -91,7 +91,7 @@ func (p *Proc) releaseStores() {
 func (p *Proc) LockAcquire(id int) {
 	p.poll()
 	t0 := p.sp.Now()
-	p.trace("sync", "", -1, "lock-acquire id=%d", id)
+	p.trace("sync", "", -1, TraceFields{Sync: SyncLockAcquire, ID: int32(id)})
 	home := p.sys.lockHome(id)
 	p.send(home, &pmsg{kind: mLockReq, baseLine: -1, id: id, requester: p.id}, stats.Sync)
 	p.stallUntil(stats.Sync, fmt.Sprintf("lock-%d", id), func() bool {
@@ -100,7 +100,7 @@ func (p *Proc) LockAcquire(id int) {
 	p.lockGranted[id] = false
 	prev, hops := p.lockGrantPrev[id], p.lockGrantHops[id]
 	t1 := p.sp.Now()
-	p.trace("sync", "", -1, "lock-acquired id=%d prev=%d hops=%d", id, prev, hops)
+	p.trace("sync", "", -1, TraceFields{Sync: SyncLockAcquired, ID: int32(id), Prev: int32(prev), Hops: int32(hops)})
 	st := p.st.Sync(stats.SyncLock, id)
 	st.Acquires++
 	if hops == 3 {
@@ -133,7 +133,7 @@ func (p *Proc) handoffClass(prev int) int {
 func (p *Proc) LockRelease(id int) {
 	p.poll()
 	t := p.sp.Now()
-	p.trace("sync", "", -1, "lock-release id=%d", id)
+	p.trace("sync", "", -1, TraceFields{Sync: SyncLockRelease, ID: int32(id)})
 	if from, ok := p.lockHeldFrom[id]; ok {
 		p.st.Sync(stats.SyncLock, id).HoldCycles += t - from
 		delete(p.lockHeldFrom, id)
@@ -159,7 +159,7 @@ func (p *Proc) Barrier() {
 	p.poll()
 	t0 := p.sp.Now()
 	gen := p.barGen
-	p.trace("sync", "", -1, "barrier gen=%d", gen)
+	p.trace("sync", "", -1, TraceFields{Sync: SyncBarrier, ID: int32(gen)})
 	p.releaseStores()
 	if p.sys.cfg.FastSync && p.sys.cfg.SMP() && !p.sys.cfg.Hardware {
 		g := p.grp
@@ -175,7 +175,7 @@ func (p *Proc) Barrier() {
 		p.stallUntil(stats.Sync, "barrier", func() bool { return p.barGen > gen })
 	}
 	t1 := p.sp.Now()
-	p.trace("sync", "", -1, "barrier-depart gen=%d", gen)
+	p.trace("sync", "", -1, TraceFields{Sync: SyncBarrierDepart, ID: int32(gen)})
 	st := p.st.Sync(stats.SyncBarrier, 0)
 	st.Generations++
 	st.WaitCycles += t1 - t0

@@ -3,16 +3,15 @@ package protocol
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/memory"
 )
 
 // TraceSchemaVersion is the version of the trace-event schema: the set of
-// TraceEvent fields, the Op vocabulary below, and the message-kind names
-// used in Msg. It is carried in the header of serialized traces (see
-// internal/obsv) and must be bumped whenever a field is renamed or removed,
-// an Op is renamed, or the meaning of an existing field changes. Adding a
-// new Op or message kind is a compatible extension and does not require a
+// TraceEvent fields, the Op vocabulary below, the message-kind names used in
+// Msg, and the per-op detail grammar of detail.go. It is carried in the
+// header of serialized traces (see internal/obsv) and must be bumped
+// whenever a field is renamed or removed, an Op is renamed, or an existing
+// field or detail form changes meaning. Adding a new Op, message kind or
+// optional detail part is a compatible extension and does not require a
 // bump. The contract is documented field by field in OBSERVABILITY.md.
 const TraceSchemaVersion = 1
 
@@ -73,20 +72,24 @@ type TraceEvent struct {
 	Msg string
 	// BaseLine identifies the block, -1 for non-block events.
 	BaseLine int
-	// Detail is free-form context (states, sequence numbers, targets).
-	// Unlike the other fields it is not part of the stable schema: its
-	// contents may change between versions without a bump.
+	// Detail is the verbatim detail text of an event that came from text
+	// (a trace file, or a hand-built event); it is empty on events the
+	// simulator emits, whose detail lives in the typed fields below. Text
+	// is produced only where an event leaves the process (AppendDetail)
+	// and parsed only where one enters it (DecodeDetail); see detail.go
+	// for the grammar both directions share.
 	Detail string
+	TraceFields
 }
 
 // String renders the event as one line.
 func (e TraceEvent) String() string {
-	if e.Msg != "" {
-		return fmt.Sprintf("@%-10d p%-2d %-10s %-18s blk%-5d %s",
-			e.Time, e.Proc, e.Op, e.Msg, e.BaseLine, e.Detail)
+	msg := e.Msg
+	if msg == "" {
+		msg = "-"
 	}
 	return fmt.Sprintf("@%-10d p%-2d %-10s %-18s blk%-5d %s",
-		e.Time, e.Proc, e.Op, "-", e.BaseLine, e.Detail)
+		e.Time, e.Proc, e.Op, msg, e.BaseLine, e.AppendDetail(nil))
 }
 
 // Tracer receives protocol events. Implementations must be fast; they run
@@ -141,19 +144,14 @@ func (s *System) SetTracer(tr Tracer) { s.tracer = tr }
 // the scheduler's control thread once the virtual-time floor passes it, in
 // deterministic (Time, Proc, program order) order; see emitTrace. The
 // tracer therefore observes an identical event sequence under the serial
-// and parallel schedulers.
-func (p *Proc) trace(op, msg string, base int, format string, args ...any) {
+// and parallel schedulers. Sites on the hot path, or whose fields cost
+// something to gather (blockState), test p.sys.tracer themselves first.
+func (p *Proc) trace(op, msg string, base int, f TraceFields) {
 	if p.sys.tracer == nil {
 		return
 	}
-	p.sp.Emit(TraceEvent{
-		Time:     p.sp.Now(),
-		Proc:     p.id,
-		Op:       op,
-		Msg:      msg,
-		BaseLine: base,
-		Detail:   fmt.Sprintf(format, args...),
-	})
+	f.Typed = true
+	p.sp.Emit(TraceEvent{Time: p.sp.Now(), Proc: p.id, Op: op, Msg: msg, BaseLine: base, TraceFields: f})
 }
 
 // emitTrace is the engine's emit sink: it assigns the global sequence
@@ -169,18 +167,17 @@ func (s *System) emitTrace(_ int64, _ int, payload any) {
 	s.tracer.Event(ev)
 }
 
-// traceState summarizes a block's local protocol state for trace details.
-func (p *Proc) traceState(base int) string {
-	st := p.grp.img.State(base)
-	priv := memory.State(0)
+// blockState captures the block's local protocol state for a handle or miss
+// event. Call it only with a tracer attached.
+func (p *Proc) blockState(base int) BlockState {
+	b := BlockState{State: p.grp.img.State(base), CopySeq: p.grp.copySeq[base]}
 	if p.priv != nil {
-		priv = p.priv.Get(base)
+		b.Priv = p.priv.Get(base)
 	}
-	e := p.grp.miss[base]
-	es := "-"
-	if e != nil && !e.complete {
-		es = fmt.Sprintf("%v(da=%v,eg=%v,acks=%d/%d)",
-			e.kind, e.dataArrived, e.exclGranted, e.acksReceived, e.acksExpected)
+	if e := p.grp.miss[base]; e != nil && !e.complete {
+		b.Pending, b.Kind = true, e.kind
+		b.DataArrived, b.ExclGranted = e.dataArrived, e.exclGranted
+		b.AcksGot, b.AcksWant = int32(e.acksReceived), int32(e.acksExpected)
 	}
-	return fmt.Sprintf("state=%v priv=%v seq=%d entry=%s", st, priv, p.grp.copySeq[base], es)
+	return b
 }

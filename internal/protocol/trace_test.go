@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/memory"
+	"repro/internal/stats"
 )
 
 // Addr8 offsets an address by i 8-byte words.
@@ -117,4 +118,24 @@ func TestWriterTracerFilters(t *testing.T) {
 	if strings.Contains(out, "ReadReq") && strings.Contains(out, "blk64") {
 		t.Fatal("filter leaked other blocks")
 	}
+}
+
+// TestUntracedPathFormatsNothing pins that with no tracer attached a handler
+// dispatch allocates nothing and a miss only its table entry: block state is
+// captured, and event fields built, only under a tracer.
+func TestUntracedPathFormatsNothing(t *testing.T) {
+	s := testSystem(1, 1)
+	a := s.Alloc(64, 64)
+	s.Run(func(p *Proc) {
+		base, _ := s.lay.BlockOf(a)
+		m := &pmsg{kind: mSharingUpdate, baseLine: base, seq: 1}
+		p.handle(m) // creates the directory entry
+		if n := testing.AllocsPerRun(100, func() { p.handle(m) }); n != 0 {
+			t.Errorf("untraced handler dispatch allocates %v times", n)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.newMissEntry(base, stats.ReadMiss, 1, 0, false) }); n != 1 {
+			t.Errorf("untraced miss allocates %v times, want 1 (its entry)", n)
+		}
+		delete(p.grp.miss, base)
+	})
 }

@@ -66,7 +66,7 @@ func (c TimeCategory) String() string {
 
 // MissKind classifies a shared miss by the protocol request it generated,
 // matching the request types of the Shasta protocol.
-type MissKind int
+type MissKind uint8
 
 // The three request types of the protocol.
 const (

@@ -47,6 +47,22 @@ func observedRun(t *testing.T, app string, cfg shasta.Config) (trace, metrics []
 			t.Fatal(err)
 		}
 	}
+	// Text only at the process boundary: reading the written trace back
+	// yields exactly the typed fields the simulator set, so the analyses
+	// below see the same values from memory as they would from the file.
+	// (Serial runs only: the parallel run's bytes must equal these anyway.)
+	if !cfg.Parallel {
+		_, read, err := obsv.ReadTrace(bytes.NewReader(tb.Bytes()))
+		if err != nil || len(read) != len(col.Events) {
+			t.Fatalf("%s: trace reads back as %d of %d events: %v", app, len(read), len(col.Events), err)
+		}
+		for i, e := range col.Events {
+			if e.Detail != "" || read[i].TraceFields != e.TraceFields {
+				t.Fatalf("%s seq=%d %s: detail %q read back as\n%+v, emitted\n%+v",
+					app, e.Seq, e.Op, read[i].Detail, read[i].TraceFields, e.TraceFields)
+			}
+		}
+	}
 	var mb bytes.Buffer
 	if err := r.Metrics.WriteJSON(&mb); err != nil {
 		t.Fatal(err)

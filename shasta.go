@@ -82,6 +82,9 @@ type Tracer = protocol.Tracer
 // TraceEvent is one traced protocol event.
 type TraceEvent = protocol.TraceEvent
 
+// TraceFields is the typed detail embedded in every TraceEvent.
+type TraceFields = protocol.TraceFields
+
 // TracerFunc adapts a function to the Tracer interface.
 type TracerFunc = protocol.TracerFunc
 
