@@ -3,7 +3,9 @@
 # engine and protocol core — once under the default scheduler and once with
 # SIM_FORCE_PARALLEL=1, which reruns the sim suite on the window-based
 # parallel scheduler with per-processor conflict domains (the most
-# aggressive windowing). The full suite (go test ./...) adds the
+# aggressive windowing). Both sim lines run at -cpu 1,4, so the processor
+# coroutines are resumed both on a single P and by domain workers spread
+# over several OS threads. The full suite (go test ./...) adds the
 # application/harness integration tests, which take ~1 min. The analysis
 # line covers the stats shards, the observability layer (including the
 # request-span reconstruction and its fuzzed degradation tests) and the
@@ -17,8 +19,9 @@ check:
 		echo "Sscanf in internal/obsv: trace details are decoded once, by protocol.DecodeDetail"; exit 1; fi
 	go vet ./...
 	go build ./...
-	go test -race ./internal/protocol/ ./internal/sim/
-	SIM_FORCE_PARALLEL=1 go test -race ./internal/sim/
+	go test -race ./internal/protocol/
+	go test -race -cpu 1,4 ./internal/sim/
+	SIM_FORCE_PARALLEL=1 go test -race -cpu 1,4 ./internal/sim/
 	go test ./internal/stats/ ./internal/obsv/ ./cmd/shastatrace/
 
 test:
@@ -26,7 +29,7 @@ test:
 
 # Benchmark workflow (see PERFORMANCE.md). `make bench` runs the scale
 # experiment's 16-256 processor sweep and writes BENCH_$(LABEL).json;
-# `make bench-compare OLD=BENCH_pr7.json NEW=BENCH_local.json` gates the
+# `make bench-compare OLD=BENCH_pr13.json NEW=BENCH_local.json` gates the
 # new snapshot against the old one (>10% normalized wall-clock growth or
 # any virtual-result divergence fails). PROCS/TOPOLOGY narrow the sweep,
 # e.g. `make bench PROCS=64`.

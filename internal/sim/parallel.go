@@ -161,7 +161,7 @@ func (e *Engine) runWindows() int64 {
 				break
 			}
 			e.checkPanic()
-			e.fail("sim: deadlock\n" + e.dump())
+			panic("sim: deadlock\n" + e.dump())
 		}
 		// Fences whose cut the floor has reached observe the live
 		// counters before the next window runs anything past the cut.
@@ -278,6 +278,12 @@ func (e *Engine) domEndNow(di int) int64 {
 // the serial rule: smallest (next-run time, processor ID) first. The end is
 // re-read each pick: the domain's own sends and fence registrations shrink
 // it while the window runs.
+//
+// A domain's worker is a different goroutine from window to window, so its
+// processors' coroutines are resumed from different goroutines over a run.
+// iter.Pull allows that as long as calls to one coroutine never overlap,
+// which the one-worker-per-domain rule guarantees (and the window join
+// orders one window's calls before the next's).
 func (e *Engine) runDomain(di int) {
 	dom := e.domains[di]
 	for {
@@ -299,16 +305,7 @@ func (e *Engine) runDomain(di int) {
 		}
 		next.state = stateRunning
 		next.horizon = e.domainHorizon(next, dom, end)
-		next.resume <- struct{}{}
-		k := <-next.yielded
-		switch k {
-		case yieldReady:
-			next.state = stateReady
-		case yieldBlocked:
-			next.state = stateBlocked
-		case yieldDone:
-			next.state = stateDone
-		}
+		next.resume()
 	}
 }
 

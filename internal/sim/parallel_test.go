@@ -6,6 +6,7 @@ package sim
 // serial fallback, and position-exact fences.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -278,48 +279,88 @@ func TestSendInvalidDestinationPanics(t *testing.T) {
 	}
 }
 
-// TestFailedRunReleasesGoroutines checks that deadlocked and panicking runs
-// leave no processor goroutines behind, under both schedulers — the
-// regression test for Run's failure paths abandoning goroutines blocked on
-// their resume channels.
+// failedRun runs body on a 4-processor, two-domain engine under the chosen
+// scheduler and returns what Run panicked with (nil if it returned).
+func failedRun(parallel bool, emit func(int64, int, any), body func(*Proc)) (r any) {
+	defer func() { r = recover() }()
+	e := NewEngine(4)
+	e.Parallel = parallel
+	e.Lookahead = 50
+	e.SetDomains(pairDomains(4))
+	e.SetEmitFunc(emit)
+	e.Run(body)
+	return nil
+}
+
+// TestFailedRunReleasesGoroutines checks that a failed run leaves no
+// processor context behind, under both schedulers and for every way a run
+// can fail: a deadlock, a body panic, and a panic on the scheduler's own
+// control flow — in the emit function or in a deferred fence callback. The
+// last two are not processor failures, so their panic value must reach the
+// caller as it was raised, not wrapped as "processor N panicked".
 func TestFailedRunReleasesGoroutines(t *testing.T) {
-	runCase := func(parallel bool, body func(*Proc)) {
-		defer func() { recover() }()
-		e := NewEngine(4)
-		e.Parallel = parallel
-		e.Lookahead = 50
-		e.SetDomains(pairDomains(4))
-		e.Run(body)
-	}
-	deadlock := func(p *Proc) {
+	errEmit, errFence := errors.New("emit boom"), errors.New("fence boom")
+	park := func(p *Proc) {
 		p.Advance(stats.Task, int64(10*(p.ID+1)))
 		p.WaitRecv(stats.Read, "never")
 	}
-	boom := func(p *Proc) {
-		if p.ID == 2 {
-			p.Advance(stats.Task, 75)
-			panic("boom")
+	// work keeps every processor mid-body when the control flow panics.
+	work := func(p *Proc) {
+		for i := 0; i < 20; i++ {
+			p.Advance(stats.Task, 30)
 		}
-		p.Advance(stats.Task, 10)
-		p.WaitRecv(stats.Read, "never")
 	}
-	before := runtime.NumGoroutine()
-	for _, parallel := range []bool{false, true} {
-		runCase(parallel, deadlock)
-		runCase(parallel, boom)
+	cases := []struct {
+		name string
+		emit func(int64, int, any)
+		body func(*Proc)
+		want any // exact panic value, or nil for an engine diagnostic string
+	}{
+		{name: "deadlock", body: park},
+		{name: "body-panic", body: func(p *Proc) {
+			if p.ID == 2 {
+				p.Advance(stats.Task, 75)
+				panic("boom")
+			}
+			park(p)
+		}},
+		{name: "emit-panic", want: errEmit,
+			emit: func(int64, int, any) { panic(errEmit) },
+			body: func(p *Proc) {
+				p.Emit("x")
+				work(p)
+			}},
+		{name: "fence-panic", want: errFence, body: func(p *Proc) {
+			if p.ID == 1 {
+				p.Fence(func(int, *stats.Proc) { panic(errFence) })
+			}
+			work(p)
+		}},
 	}
-	// fail() waits for the processor goroutines before panicking, so the
-	// count should already be back; allow a brief settle for the runtime
-	// to retire exiting goroutines.
-	var after int
-	for i := 0; i < 100; i++ {
-		after = runtime.NumGoroutine()
-		if after <= before {
-			return
+	for _, tc := range cases {
+		for _, parallel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/parallel=%v", tc.name, parallel), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				got := failedRun(parallel, tc.emit, tc.body)
+				if _, isDiag := got.(string); tc.want == nil && !isDiag {
+					t.Errorf("Run panicked with %v, want an engine diagnostic", got)
+				} else if tc.want != nil && got != tc.want {
+					t.Errorf("Run panicked with %v, want %v unwrapped", got, tc.want)
+				}
+				// Run stops the coroutines before the panic leaves it, so
+				// the count should already be back; allow a brief settle
+				// for the runtime to retire exiting goroutines.
+				var after int
+				for i := 0; i < 100; i++ {
+					if after = runtime.NumGoroutine(); after <= before {
+						return
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+				t.Fatalf("goroutines leaked by the failed run: %d before, %d after", before, after)
+			})
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("goroutines leaked by failed runs: %d before, %d after", before, after)
 }
 
 // TestLookaheadViolationPanics checks that a cross-domain send arriving

@@ -1,9 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation engine
 // for a cluster of processors.
 //
-// Each simulated processor runs its program on its own goroutine. Under the
-// default serial scheduler the engine enforces strictly cooperative
-// execution: exactly one processor context executes at any instant, and the
+// Each simulated processor runs its program as a runtime coroutine
+// (iter.Pull) that the scheduler's own control flow resumes for one slice at
+// a time. Under the default serial scheduler execution is strictly
+// cooperative: exactly one processor context executes at any instant, and the
 // scheduler always resumes the runnable processor with the smallest virtual
 // time (ties broken by processor ID). Processors advance their own virtual
 // clocks explicitly and exchange timestamped messages; a message sent at
@@ -28,6 +29,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math"
 	"runtime/debug"
 	"sort"
@@ -51,6 +53,8 @@ type Message struct {
 	Payload  any
 }
 
+// procState is a processor's scheduling state. A yielding processor hands
+// the scheduler the state it parks in: stateReady or stateBlocked.
 type procState int
 
 const (
@@ -58,14 +62,6 @@ const (
 	stateRunning
 	stateBlocked // waiting for a message
 	stateDone
-)
-
-type yieldKind int
-
-const (
-	yieldReady yieldKind = iota
-	yieldBlocked
-	yieldDone
 )
 
 // emitRec is one deferred emission (see Proc.Emit).
@@ -100,9 +96,14 @@ type Proc struct {
 	horizon int64
 	state   procState
 	inbox   msgHeap
-	resume  chan struct{}
-	yielded chan yieldKind
 	body    func(*Proc)
+	// next and stop are the scheduler's handles on the processor's coroutine
+	// and yield is the body's way back out of it (see startProcs). slices
+	// counts the times the scheduler resumed it (see Engine.SlicesRun).
+	next   func() (procState, bool)
+	stop   func()
+	yield  func(procState) bool
+	slices int64
 	// blockedAt records where a processor blocked, for deadlock reports.
 	blockedAt string
 	// sendSeq counts this processor's sends; it is the final tie-break of
@@ -153,7 +154,7 @@ func (p *Proc) Advance(c stats.TimeCategory, cycles int64) {
 	// results when same-time actions touch shared model state (for
 	// example, per-node link reservations in memchan).
 	if p.now >= p.horizon {
-		p.doYield(yieldReady)
+		p.doYield(stateReady)
 	}
 }
 
@@ -168,7 +169,7 @@ func (p *Proc) AdvanceTo(c stats.TimeCategory, t int64) {
 // Yield gives other processors with smaller or equal virtual times a chance
 // to run. Programs rarely need it; Advance and the receive calls yield on
 // their own.
-func (p *Proc) Yield() { p.doYield(yieldReady) }
+func (p *Proc) Yield() { p.doYield(stateReady) }
 
 // Send delivers payload to processor dst with the given latency in cycles.
 // The destination can observe the message once its own clock reaches the
@@ -291,7 +292,7 @@ func (p *Proc) WaitRecv(c stats.TimeCategory, where string) Message {
 		}
 		p.blockedAt = where
 		prev := p.now
-		p.doYield(yieldBlocked)
+		p.doYield(stateBlocked)
 		// The scheduler resumed us at the earliest pending arrival;
 		// attribute the waited interval to the caller's category.
 		if p.Stats != nil && p.now > prev {
@@ -374,25 +375,30 @@ func (p *Proc) Fence(f func(proc int, at *stats.Proc)) {
 	}
 }
 
-// abortSentinel is panicked into parked processor goroutines when a run
-// fails, so they unwind and exit instead of leaking.
+// abortSentinel is panicked into a parked processor body when its coroutine
+// is stopped, so the body unwinds and the coroutine exits instead of leaking.
 type abortSentinel struct{}
 
-// doYield transfers control to the scheduler. If the engine aborts the run
-// (deadlock or a processor panic elsewhere), the goroutine unwinds via
-// abortSentinel instead of blocking forever.
-func (p *Proc) doYield(k yieldKind) {
-	e := p.eng
-	select {
-	case p.yielded <- k:
-	case <-e.abort:
+// doYield switches back to the scheduler, parking the processor in state st
+// until its next slice. If Run is unwinding instead (deadlock, or a panic in
+// another body, the emit function or a fence callback), the body unwinds via
+// abortSentinel.
+func (p *Proc) doYield(st procState) {
+	if !p.yield(st) {
 		panic(abortSentinel{})
 	}
-	select {
-	case <-p.resume:
-	case <-e.abort:
-		panic(abortSentinel{})
+}
+
+// resume switches to p's coroutine for one slice — until the body yields or
+// returns — and records the state it parked in. Both schedulers dispatch
+// through here, on whichever goroutine is running p's schedule.
+func (p *Proc) resume() {
+	p.slices++
+	st, ok := p.next()
+	if !ok {
+		st = stateDone
 	}
+	p.state = st
 }
 
 // fenceRec is one registered fence awaiting resolution at its cut,
@@ -481,13 +487,10 @@ type Engine struct {
 	emitFn func(time int64, proc int, payload any)
 
 	// Per-run state, fully reset by Run.
-	windowed  bool
-	abort     chan struct{}
-	abortOnce sync.Once
-	panicCh   chan procPanic
-	wg        sync.WaitGroup
-	fenceMu   sync.Mutex
-	fences    []fenceRec
+	windowed bool
+	panicCh  chan procPanic
+	fenceMu  sync.Mutex
+	fences   []fenceRec
 	// Per-domain window state (see parallel.go). domEnd is immutable
 	// while a window's workers run; domFenceCap and domReflect are
 	// per-domain truncations written only by the owning domain's
@@ -593,6 +596,19 @@ func (e *Engine) NumProcs() int { return len(e.procs) }
 // never part of simulation results, which are scheduler-independent.
 func (e *Engine) WindowsRun() int64 { return e.windowCount }
 
+// SlicesRun returns how many scheduler slices — resumptions of a processor
+// context — the last Run dispatched. Like WindowsRun it is a host-side
+// diagnostic, never part of simulation results: host time per slice is what
+// a context switch costs. Each scheduler's schedule is deterministic, so the
+// count repeats exactly (the windowed one also cuts slices at window ends).
+func (e *Engine) SlicesRun() int64 {
+	var n int64
+	for _, p := range e.procs {
+		n += p.slices
+	}
+	return n
+}
+
 // Proc returns processor i's context (for wiring Stats before Run).
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
@@ -629,8 +645,9 @@ type procPanic struct {
 // Run executes body on every processor until all complete, and returns the
 // maximum finish time in cycles. It panics with a diagnostic if the system
 // deadlocks (all processors blocked with no messages in flight) or if any
-// processor's body panics; in both cases every processor goroutine is
-// released before the panic propagates, so failed runs leak nothing. Run
+// processor's body panics. On every exit path — those two, a panic out of
+// the emit function or a fence callback, or a normal return — every
+// processor coroutine is released first, so failed runs leak nothing. Run
 // fully resets engine and processor state first, so one engine can execute
 // the same program repeatedly with identical results.
 func (e *Engine) Run(body func(*Proc)) int64 {
@@ -639,6 +656,7 @@ func (e *Engine) Run(body func(*Proc)) int64 {
 	e.windowed = e.Parallel && e.Lookahead > 0 && len(e.domains) > 1
 	defer func() { e.windowed = false }()
 	e.startProcs()
+	defer e.stopProcs()
 
 	var maxFinish int64
 	if e.windowed {
@@ -649,19 +667,15 @@ func (e *Engine) Run(body func(*Proc)) int64 {
 	// Fences whose cut lies beyond the last action observe the final state.
 	e.resolveFences(math.MaxInt64)
 	e.flushTo(math.MaxInt64)
-	e.wg.Wait()
 	return maxFinish
 }
 
 // resetRun clears all per-run engine and processor state: clocks, inboxes,
 // send sequence counters, staged messages, emission and depth buffers, and
-// the failure-handling channels. Reusing an engine is therefore fully
+// the captured-panic channel. Reusing an engine is therefore fully
 // reproducible.
 func (e *Engine) resetRun(body func(*Proc)) {
-	e.abort = make(chan struct{})
-	e.abortOnce = sync.Once{}
 	e.panicCh = make(chan procPanic, len(e.procs))
-	e.wg = sync.WaitGroup{}
 	e.fences = nil
 	e.windowCount = 0
 	e.emitHeap = e.emitHeap[:0]
@@ -678,58 +692,45 @@ func (e *Engine) resetRun(body func(*Proc)) {
 		p.emits, p.emitStart = nil, 0
 		p.depthPend, p.depthDue = nil, nil
 		p.depth, p.peakDepth = 0, 0
-		p.resume = make(chan struct{})
-		p.yielded = make(chan yieldKind)
+		p.slices = 0
 	}
 }
 
-// startProcs launches the processor goroutines. Each waits for its first
-// resume, runs the body, and reports completion; a body panic is captured
-// for the scheduler and an engine abort unwinds the goroutine silently.
+// startProcs creates one coroutine per processor. The body starts on the
+// processor's first slice and its return ends the coroutine; a body panic is
+// captured for the scheduler (the slice then reads as the body returning)
+// and a stop unwinds the body silently.
 func (e *Engine) startProcs() {
-	e.wg.Add(len(e.procs))
 	for _, p := range e.procs {
-		go func(p *Proc) {
-			defer e.wg.Done()
+		p.next, p.stop = iter.Pull(func(yield func(procState) bool) {
+			p.yield = yield
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(abortSentinel); ok {
-						return
-					}
-					e.panicCh <- procPanic{p.ID, r, debug.Stack()}
-					select {
-					case p.yielded <- yieldDone:
-					case <-e.abort:
+					if _, ok := r.(abortSentinel); !ok {
+						e.panicCh <- procPanic{p.ID, r, debug.Stack()}
 					}
 				}
 			}()
-			select {
-			case <-p.resume:
-			case <-e.abort:
-				return
-			}
 			p.body(p)
-			select {
-			case p.yielded <- yieldDone:
-			case <-e.abort:
-			}
-		}(p)
+		})
 	}
 }
 
-// fail aborts the run — releasing every parked processor goroutine and
-// waiting for all of them to exit — and then panics with the diagnostic.
-func (e *Engine) fail(msg string) {
-	e.abortOnce.Do(func() { close(e.abort) })
-	e.wg.Wait()
-	panic(msg)
+// stopProcs releases every processor coroutine: a parked body unwinds via
+// abortSentinel, a finished or never-started one is a no-op. Deferred by Run,
+// so it runs with every processor parked, whatever ended the run.
+func (e *Engine) stopProcs() {
+	for _, p := range e.procs {
+		p.stop()
+	}
 }
 
-// checkPanic propagates a captured processor panic, if any.
+// checkPanic propagates a captured processor panic, if any, as the run's
+// failure (Run's deferred stopProcs releases the other processors).
 func (e *Engine) checkPanic() {
 	select {
 	case pp := <-e.panicCh:
-		e.fail(fmt.Sprintf("sim: processor %d panicked: %v\n%s\noriginal stack:\n%s",
+		panic(fmt.Sprintf("sim: processor %d panicked: %v\n%s\noriginal stack:\n%s",
 			pp.id, pp.val, e.dump(), pp.stack))
 	default:
 	}
@@ -754,7 +755,7 @@ func (e *Engine) runSerial() int64 {
 		next, bestT := e.pickNext()
 		if next == nil {
 			e.checkPanic()
-			e.fail("sim: deadlock\n" + e.dump())
+			panic("sim: deadlock\n" + e.dump())
 		}
 		// Fences whose cut the schedule has reached observe the live
 		// counters before anything at or past the cut runs.
@@ -774,16 +775,9 @@ func (e *Engine) runSerial() int64 {
 		}
 		next.state = stateRunning
 		next.horizon = e.horizonFor(next)
-		next.resume <- struct{}{}
-		k := <-next.yielded
+		next.resume()
 		e.checkPanic()
-		switch k {
-		case yieldReady:
-			next.state = stateReady
-		case yieldBlocked:
-			next.state = stateBlocked
-		case yieldDone:
-			next.state = stateDone
+		if next.state == stateDone {
 			remaining--
 			if next.now > maxFinish {
 				maxFinish = next.now
