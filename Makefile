@@ -1,5 +1,6 @@
 # Tier-1 gate (see ROADMAP.md): gofmt cleanliness + no Sscanf in the trace
-# analysers + vet + full build + race-mode tests of the
+# analysers + send<->handle pairing state in internal/obsv/causal.go only +
+# vet + full build + race-mode tests of the
 # engine and protocol core — once under the default scheduler and once with
 # SIM_FORCE_PARALLEL=1, which reruns the sim suite on the window-based
 # parallel scheduler with per-processor conflict domains (the most
@@ -17,6 +18,9 @@ check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	@if grep -l Sscanf $$(ls internal/obsv/*.go | grep -v _test.go); then \
 		echo "Sscanf in internal/obsv: trace details are decoded once, by protocol.DecodeDetail"; exit 1; fi
+	@if grep -nE 'sendKey|[^A-Za-z]Leg\{|Legs *= *append|(pending|fifo|inFlight)[A-Za-z]* *:?= *(map\[[^]]*\]\[\]|newQueues)' \
+		$$(ls internal/obsv/*.go | grep -v -e _test.go -e /causal.go); then \
+		echo "send<->handle pairing state outside internal/obsv/causal.go: BuildCausal is the one matcher, analysers read its leg table"; exit 1; fi
 	go vet ./...
 	go build ./...
 	go test -race ./internal/protocol/

@@ -30,7 +30,7 @@
 // detector verdict against ground truth.
 //
 // With -obsv DIR, every application run additionally emits a
-// TRACE_<run>.jsonl protocol trace and a BENCH_<run>.json metrics snapshot
+// TRACE_<run>.jsonl protocol trace and a METRICS_<run>.json metrics snapshot
 // into DIR; inspect them with the shastatrace command (see OBSERVABILITY.md).
 //
 // -parallel selects the simulation scheduler: on runs the conservative
@@ -54,7 +54,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "problem size scale factor (1 = default experiment inputs)")
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: the experiment's own set)")
-	obsvDir := flag.String("obsv", "", "directory receiving TRACE_*.jsonl traces and BENCH_*.json metrics per run")
+	obsvDir := flag.String("obsv", "", "directory receiving TRACE_*.jsonl traces and METRICS_*.json metrics per run")
 	parFlag := flag.String("parallel", "auto", "simulation scheduler: auto (parallel when the host has >1 core), on, off")
 	injectRace := flag.String("inject-race", "", "races experiment: run only this injection mode (none, drop-lock, reorder-publish)")
 	procs := flag.Int("procs", 0, "scale experiment: run only this processor count (0 = full 16-256 sweep)")

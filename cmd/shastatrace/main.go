@@ -3,24 +3,10 @@
 //
 // Usage:
 //
-//	shastatrace summarize <trace.jsonl>...
-//	shastatrace filter [-p procs] [-op ops] [-blk lo-hi,...] [-sample N] <trace.jsonl>...
-//	shastatrace timeline <block> <trace.jsonl>...
-//	shastatrace diff <a.jsonl> <b.jsonl>
-//	shastatrace breakdown <metrics.json | trace.jsonl>...
-//	shastatrace hist <metrics.json | trace.jsonl>...
-//	shastatrace critpath <trace.jsonl>...
-//	shastatrace spans [-top K] <trace.jsonl>...
-//	shastatrace phases [-w N] <trace.jsonl>...
-//	shastatrace export-chrome <trace.jsonl>...
-//	shastatrace check <trace.jsonl>...
-//	shastatrace races <trace.jsonl>...
-//	shastatrace migrations <trace.jsonl>...
-//	shastatrace sync [-top K] <trace.jsonl>...
-//	shastatrace skew <trace.jsonl>...
-//	shastatrace blocks [-n N] <metrics.json>
-//	shastatrace falseshare <metrics.json>
-//	shastatrace advise <metrics.json>
+//	shastatrace <command> [flags] <file>...
+//
+// `shastatrace help` lists the commands, generated from the one table in
+// this file that also drives dispatch and operand checking.
 //
 // Multiple trace files are read in order and concatenated, so rotated
 // segments (trace.jsonl trace.1.jsonl ...) can be passed together.
@@ -41,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,50 +35,246 @@ import (
 	"repro/internal/protocol"
 )
 
-const usageText = `usage: shastatrace <command> [args]
+// inputKind says which files a command reads; the dispatcher checks the
+// operand count, reads them and hands the command the parsed documents.
+type inputKind int
 
-trace analysis (one or more trace.jsonl segments, concatenated in order):
-  summarize <trace.jsonl>...      per-op and per-processor event counts and spans
-  filter [flags] <trace.jsonl>... select events by -p procs, -op ops, -blk ranges,
-                                  -sample 1-in-N; emits a filtered trace
-  timeline <block> <trace.jsonl>...  one block's protocol history, in order
-  diff <a.jsonl> <b.jsonl>        compare two trace summaries
-  critpath <trace.jsonl>...       longest causal chain through the run
-  spans [-top K] <trace.jsonl>... per-request stage waterfalls: tail percentiles
-                                  by kind/hops/route/home/block, per-stage cycle
-                                  shares, tail composition, K slowest requests
-  phases [-w N] <trace.jsonl>...  windowed time-series of span stage totals
-                                  over virtual time (N windows)
-  export-chrome <trace.jsonl>...  chrome://tracing JSON of the trace, spans as
-                                  async stage slices
-  check <trace.jsonl>...          replay the trace through the invariant checker
-  races <trace.jsonl>...          happens-before data-race detection over the
-                                  trace's accesses and synchronization edges
-  migrations <trace.jsonl>...     online home-migration activity: hand-off and
-                                  forward totals, per-block home chains
-  sync [-top K] <trace.jsonl>...  per-lock/barrier contention: wait and hold
-                                  distributions, top-K contended locks with
-                                  hand-off chains, wait-for summary,
-                                  critical-path share per primitive
-  skew <trace.jsonl>...           per-generation barrier arrival and departure
-                                  skew with straggler attribution
+const (
+	traces  inputKind = iota // one or more trace segments, concatenated in order
+	pair                     // exactly two trace files, read separately
+	either                   // one metrics document, or one or more trace segments
+	metrics                  // exactly one metrics document with a blocks section
+)
 
-profiles (metrics.json exact, or approximated from a bare trace):
-  breakdown <file>...             per-processor execution-time profile
-  hist <file>...                  miss round-trip latency histograms
+// input is a command's parsed operands.
+type input struct {
+	lead   []string              // the operands before the files (timeline's block)
+	events []protocol.TraceEvent // traces, the first of a pair, or either given traces
+	second []protocol.TraceEvent // the second file of a pair
+	snap   *obsv.Snapshot        // metrics, or either given a metrics document
+}
 
-sharing observatory (metrics.json only):
-  blocks [-n N] <metrics.json>    top-N hot blocks with sharing-pattern labels
-  falseshare <metrics.json>       per-writer sub-block offset evidence for
-                                  falsely-shared blocks
-  advise <metrics.json>           home-placement and block-size recommendations
-                                  with estimated cycle savings
+// options holds every command's flag values; each command registers its own.
+type options struct {
+	procs, ops, blocks      string
+	sample, top, windows, n int
+}
 
+// command is one row of the command table, which drives dispatch, operand
+// checking and the usage text.
+type command struct {
+	name    string
+	args    string // flags and leading operands as the usage line shows them
+	lead    int    // operands before the files
+	summary string // usage description, continuation lines after "\n"
+	input   inputKind
+	flags   func(fs *flag.FlagSet, o *options)
+	run     func(in input, o *options, stdout io.Writer) (int, error)
+}
+
+// show adapts an analysis that renders a report and cannot fail.
+func show(report func(in input, o *options) string) func(input, *options, io.Writer) (int, error) {
+	return func(in input, o *options, stdout io.Writer) (int, error) {
+		fmt.Fprint(stdout, report(in, o))
+		return 0, nil
+	}
+}
+
+func topFlag(usage string) func(*flag.FlagSet, *options) {
+	return func(fs *flag.FlagSet, o *options) { fs.IntVar(&o.top, "top", 5, usage) }
+}
+
+var commands = []command{
+	{name: "summarize", input: traces,
+		summary: "per-op and per-processor event counts and spans",
+		run:     show(func(in input, _ *options) string { return obsv.Summarize(in.events).Format() })},
+	{name: "filter", args: "[flags]", input: traces,
+		summary: "select events by -p procs, -op ops, -blk ranges,\n-sample 1-in-N; emits a filtered trace",
+		flags: func(fs *flag.FlagSet, o *options) {
+			fs.StringVar(&o.procs, "p", "", "comma-separated processor IDs to keep")
+			fs.StringVar(&o.ops, "op", "", "comma-separated event kinds to keep (see protocol.TraceOps)")
+			fs.StringVar(&o.blocks, "blk", "", "comma-separated block base lines or lo-hi ranges to keep")
+			fs.IntVar(&o.sample, "sample", 0, "keep every Nth matching event")
+		},
+		run: runFilter},
+	{name: "timeline", args: "<block>", lead: 1, input: traces,
+		summary: "one block's protocol history, in order",
+		run: func(in input, _ *options, stdout io.Writer) (int, error) {
+			block, err := strconv.Atoi(in.lead[0])
+			if err != nil {
+				return 2, usageError{fmt.Sprintf("bad block %q: %v", in.lead[0], err)}
+			}
+			fmt.Fprint(stdout, obsv.Timeline(in.events, block))
+			return 0, nil
+		}},
+	{name: "diff", input: pair,
+		summary: "compare two trace summaries",
+		run: func(in input, _ *options, stdout io.Writer) (int, error) {
+			d, equal := obsv.Diff(obsv.Summarize(in.events), obsv.Summarize(in.second))
+			if equal {
+				fmt.Fprintln(stdout, "traces summarize identically")
+				return 0, nil
+			}
+			fmt.Fprint(stdout, d)
+			return 1, nil
+		}},
+	{name: "critpath", input: traces,
+		summary: "longest causal chain through the run",
+		run: show(func(in input, _ *options) string {
+			c := obsv.BuildCausal(in.events)
+			return c.CriticalPath().Format(c)
+		})},
+	{name: "spans", args: "[-top K]", input: traces,
+		summary: "per-request stage waterfalls: tail percentiles\nby kind/hops/route/home/block, per-stage cycle\nshares, tail composition, K slowest requests",
+		flags:   topFlag("number of slowest requests to show with waterfalls (0 = none)"),
+		run:     show(func(in input, o *options) string { return obsv.FormatSpans(obsv.BuildSpans(in.events), o.top) })},
+	{name: "phases", args: "[-w N]", input: traces,
+		summary: "windowed time-series of span stage totals\nover virtual time (N windows)",
+		flags: func(fs *flag.FlagSet, o *options) {
+			fs.IntVar(&o.windows, "w", 8, "number of equal virtual-time windows")
+		},
+		run: show(func(in input, o *options) string { return obsv.FormatPhases(obsv.BuildSpans(in.events), o.windows) })},
+	{name: "export-chrome", input: traces,
+		summary: "chrome://tracing JSON of the trace, spans as\nasync stage slices",
+		run: func(in input, _ *options, stdout io.Writer) (int, error) {
+			if err := obsv.ExportChrome(in.events, stdout); err != nil {
+				return 2, err
+			}
+			return 0, nil
+		}},
+	{name: "check", input: traces,
+		summary: "replay the trace through the invariant checker",
+		run: func(in input, _ *options, stdout io.Writer) (int, error) {
+			c := obsv.CheckTrace(in.events)
+			fmt.Fprint(stdout, c.Report())
+			if len(c.Violations()) > 0 {
+				return 1, nil
+			}
+			return 0, nil
+		}},
+	// A gapped (filtered or sampled) trace is a schema error for races — the
+	// detector needs the complete event stream — so it exits 2, never a
+	// spurious "race-free".
+	{name: "races", input: traces,
+		summary: "happens-before data-race detection over the\ntrace's accesses and synchronization edges",
+		run: func(in input, _ *options, stdout io.Writer) (int, error) {
+			rep, err := obsv.DetectRaces(in.events)
+			if err != nil {
+				return 2, err
+			}
+			fmt.Fprint(stdout, rep.Format())
+			if len(rep.Races) > 0 {
+				return 1, nil
+			}
+			return 0, nil
+		}},
+	{name: "migrations", input: traces,
+		summary: "online home-migration activity: hand-off and\nforward totals, per-block home chains",
+		run:     show(func(in input, _ *options) string { return obsv.MigrationReport(in.events) })},
+	// Gapped or pre-extension traces degrade into dropped-lifecycle
+	// accounting (see OBSERVABILITY.md §12), so sync and skew always exit 0
+	// on a readable trace.
+	{name: "sync", args: "[-top K]", input: traces,
+		summary: "per-lock/barrier contention: wait and hold\ndistributions, top-K contended locks with\nhand-off chains, wait-for summary,\ncritical-path share per primitive",
+		flags:   topFlag("number of most contended locks to show with hand-off chains (0 = none)"),
+		run:     show(func(in input, o *options) string { return obsv.FormatSync(obsv.BuildSync(in.events), o.top) })},
+	{name: "skew", input: traces,
+		summary: "per-generation barrier arrival and departure\nskew with straggler attribution",
+		run:     show(func(in input, _ *options) string { return obsv.FormatSkew(obsv.BuildSync(in.events)) })},
+
+	// Exact per-processor cycle attribution from a metrics snapshot, or an
+	// approximate activity view from a bare trace.
+	{name: "breakdown", input: either,
+		summary: "per-processor execution-time profile",
+		run: func(in input, _ *options, stdout io.Writer) (int, error) {
+			if in.snap == nil {
+				fmt.Fprint(stdout, obsv.TraceBreakdown(in.events))
+			} else if len(in.snap.Breakdown) == 0 {
+				return 2, fmt.Errorf("metrics document has no breakdown section (pre-profiler snapshot?)")
+			} else {
+				fmt.Fprint(stdout, obsv.FormatBreakdown(in.snap))
+			}
+			return 0, nil
+		}},
+	// The exact kind-and-distance histograms of a metrics snapshot, or
+	// miss-to-install latencies recovered from a bare trace.
+	{name: "hist", input: either,
+		summary: "miss round-trip latency histograms",
+		run: func(in input, _ *options, stdout io.Writer) (int, error) {
+			if in.snap != nil {
+				if len(in.snap.Histograms) == 0 {
+					return 2, fmt.Errorf("metrics document has no histograms section (pre-profiler snapshot?)")
+				}
+				fmt.Fprint(stdout, obsv.FormatHistograms(in.snap.Histograms))
+				return 0, nil
+			}
+			hists, unmatched := obsv.TraceHistograms(in.events)
+			fmt.Fprint(stdout, obsv.FormatHistograms(hists))
+			if unmatched > 0 {
+				fmt.Fprintf(stdout, "note: %d misses never installed (merged requests or truncated trace)\n", unmatched)
+			}
+			return 0, nil
+		}},
+
+	{name: "blocks", args: "[-n N]", input: metrics,
+		summary: "top-N hot blocks with sharing-pattern labels",
+		flags: func(fs *flag.FlagSet, o *options) {
+			fs.IntVar(&o.n, "n", 20, "number of blocks to show (0 = all recorded)")
+		},
+		run: show(func(in input, o *options) string { return obsv.FormatBlocks(in.snap, o.n) })},
+	{name: "falseshare", input: metrics,
+		summary: "per-writer sub-block offset evidence for\nfalsely-shared blocks",
+		run:     show(func(in input, _ *options) string { return obsv.FormatFalseShare(in.snap) })},
+	{name: "advise", input: metrics,
+		summary: "home-placement and block-size recommendations\nwith estimated cycle savings",
+		run:     show(func(in input, _ *options) string { return obsv.FormatAdvice(in.snap) })},
+}
+
+// The usage text's sections, by input kind, and how each kind's files read
+// on a usage line.
+var usageSections = []struct {
+	title string
+	kinds []inputKind
+}{
+	{"trace analysis (one or more trace.jsonl segments, concatenated in order)", []inputKind{traces, pair}},
+	{"profiles (metrics.json exact, or approximated from a bare trace)", []inputKind{either}},
+	{"sharing observatory (metrics.json only)", []inputKind{metrics}},
+}
+
+var fileSynopsis = [...]string{
+	traces: "<trace.jsonl>...", pair: "<a.jsonl> <b.jsonl>", either: "<file>...", metrics: "<metrics.json>",
+}
+
+// usageText renders the command table.
+func usageText() string {
+	var b strings.Builder
+	b.WriteString("usage: shastatrace <command> [args]\n")
+	for _, sec := range usageSections {
+		fmt.Fprintf(&b, "\n%s:\n", sec.title)
+		for _, c := range commands {
+			if !slices.Contains(sec.kinds, c.input) {
+				continue
+			}
+			synopsis := strings.Join(strings.Fields(c.name+" "+c.args+" "+fileSynopsis[c.input]), " ")
+			if len(synopsis) >= 32 {
+				synopsis += "  " // too long for the column: keep a gap
+			}
+			for i, line := range strings.Split(c.summary, "\n") {
+				if i > 0 {
+					synopsis = ""
+				}
+				fmt.Fprintf(&b, "  %-32s%s\n", synopsis, line)
+			}
+		}
+	}
+	b.WriteString(`
 exit status:
   0  success
   1  analysis found a difference or a violation (diff, check, races)
   2  usage, I/O or schema error
-`
+`)
+	return b.String()
+}
 
 // usageError aborts a subcommand with exit status 2; any other error also
 // maps to 2 (I/O and schema problems). Analyses that complete but find a
@@ -118,49 +301,34 @@ func readTraces(paths []string) ([]protocol.TraceEvent, error) {
 	return all, nil
 }
 
-// document is a parsed input file of either observability format: exactly
-// one of snap and events is set.
-type document struct {
-	snap   *obsv.Snapshot
-	events []protocol.TraceEvent
-}
-
-// readDoc opens a file and auto-detects its format by the schema field of
-// its first JSON value: a shasta-metrics snapshot or a shasta-trace JSONL
-// stream.
-func readDoc(path string) (document, error) {
+// readDoc opens a file of either observability format, told apart by the
+// schema field of its first JSON value (the header line of a JSONL trace,
+// or the whole object of a metrics document): exactly one of the snapshot
+// and the events is returned.
+func readDoc(path string) (*obsv.Snapshot, []protocol.TraceEvent, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return document{}, err
+		return nil, nil, err
 	}
 	var head struct {
 		Schema string `json:"schema"`
 	}
-	if err := firstJSON(b, &head); err != nil {
-		return document{}, fmt.Errorf("%s: %w", path, err)
-	}
-	switch head.Schema {
-	case obsv.MetricsSchema:
-		s, err := obsv.ReadSnapshot(bytes.NewReader(b))
-		if err != nil {
-			return document{}, fmt.Errorf("%s: %w", path, err)
+	var snap *obsv.Snapshot
+	var events []protocol.TraceEvent
+	if err = json.NewDecoder(bytes.NewReader(b)).Decode(&head); err == nil {
+		switch head.Schema {
+		case obsv.MetricsSchema:
+			snap, err = obsv.ReadSnapshot(bytes.NewReader(b))
+		case obsv.TraceSchema:
+			_, events, err = obsv.ReadTrace(bytes.NewReader(b))
+		default:
+			err = fmt.Errorf("schema %q is neither %s nor %s", head.Schema, obsv.MetricsSchema, obsv.TraceSchema)
 		}
-		return document{snap: s}, nil
-	case obsv.TraceSchema:
-		_, events, err := obsv.ReadTrace(bytes.NewReader(b))
-		if err != nil {
-			return document{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return document{events: events}, nil
 	}
-	return document{}, fmt.Errorf("%s: schema %q is neither %s nor %s",
-		path, head.Schema, obsv.MetricsSchema, obsv.TraceSchema)
-}
-
-// firstJSON decodes the first JSON value of a file: the header line of a
-// JSONL trace, or the whole object of a metrics document.
-func firstJSON(b []byte, v any) error {
-	return json.NewDecoder(bytes.NewReader(b)).Decode(v)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap, events, nil
 }
 
 func parseIntSet(s string) (map[int]bool, error) {
@@ -214,40 +382,12 @@ func parseRanges(s string) ([]obsv.BlockRange, error) {
 	return ranges, nil
 }
 
-func cmdSummarize(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"summarize needs at least one trace file"}
-	}
-	events, err := readTraces(args)
+func runFilter(in input, o *options, stdout io.Writer) (int, error) {
+	procSet, err := parseIntSet(o.procs)
 	if err != nil {
 		return 2, err
 	}
-	fmt.Fprint(stdout, obsv.Summarize(events).Format())
-	return 0, nil
-}
-
-func cmdFilter(args []string, stdout, stderr io.Writer) (int, error) {
-	fs := flag.NewFlagSet("filter", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	procs := fs.String("p", "", "comma-separated processor IDs to keep")
-	ops := fs.String("op", "", "comma-separated event kinds to keep (see protocol.TraceOps)")
-	blocks := fs.String("blk", "", "comma-separated block base lines or lo-hi ranges to keep")
-	sample := fs.Int("sample", 0, "keep every Nth matching event")
-	if err := fs.Parse(args); err != nil {
-		return 2, usageError{err.Error()}
-	}
-	if fs.NArg() == 0 {
-		return 2, usageError{"filter needs at least one trace file"}
-	}
-	procSet, err := parseIntSet(*procs)
-	if err != nil {
-		return 2, err
-	}
-	ranges, err := parseRanges(*blocks)
-	if err != nil {
-		return 2, err
-	}
-	events, err := readTraces(fs.Args())
+	ranges, err := parseRanges(o.blocks)
 	if err != nil {
 		return 2, err
 	}
@@ -259,14 +399,14 @@ func cmdFilter(args []string, stdout, stderr io.Writer) (int, error) {
 			}
 		}),
 		Procs:  procSet,
-		Ops:    parseOpSet(*ops),
+		Ops:    parseOpSet(o.ops),
 		Blocks: ranges,
-		Sample: *sample,
+		Sample: o.sample,
 	}
 	if err := obsv.WriteHeader(stdout); err != nil {
 		return 2, err
 	}
-	for _, e := range events {
+	for _, e := range in.events {
 		f.Event(e)
 	}
 	if werr != nil {
@@ -275,270 +415,18 @@ func cmdFilter(args []string, stdout, stderr io.Writer) (int, error) {
 	return 0, nil
 }
 
-func cmdTimeline(args []string, stdout io.Writer) (int, error) {
-	if len(args) < 2 {
-		return 2, usageError{"timeline needs a block and at least one trace file"}
-	}
-	block, err := strconv.Atoi(args[0])
-	if err != nil {
-		return 2, usageError{fmt.Sprintf("bad block %q: %v", args[0], err)}
-	}
-	events, err := readTraces(args[1:])
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.Timeline(events, block))
-	return 0, nil
-}
-
-func cmdDiff(args []string, stdout io.Writer) (int, error) {
-	if len(args) != 2 {
-		return 2, usageError{"diff needs exactly two trace files"}
-	}
-	ea, err := readTraces(args[:1])
-	if err != nil {
-		return 2, err
-	}
-	eb, err := readTraces(args[1:])
-	if err != nil {
-		return 2, err
-	}
-	d, equal := obsv.Diff(obsv.Summarize(ea), obsv.Summarize(eb))
-	if equal {
-		fmt.Fprintln(stdout, "traces summarize identically")
-		return 0, nil
-	}
-	fmt.Fprint(stdout, d)
-	return 1, nil
-}
-
-// cmdBreakdown renders the execution-time profile: exact per-processor cycle
-// attribution from a metrics snapshot, or an approximate activity view from
-// a bare trace.
-func cmdBreakdown(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"breakdown needs a metrics or trace file"}
-	}
-	doc, events, code, err := gatherDocs(args)
-	if err != nil {
-		return code, err
-	}
-	if doc != nil {
-		if len(doc.Breakdown) == 0 {
-			return 2, fmt.Errorf("metrics document has no breakdown section (pre-profiler snapshot?)")
-		}
-		fmt.Fprint(stdout, obsv.FormatBreakdown(doc))
-		return 0, nil
-	}
-	fmt.Fprint(stdout, obsv.TraceBreakdown(events))
-	return 0, nil
-}
-
-// cmdHist renders miss-latency histograms: the exact kind-and-distance
-// histograms of a metrics snapshot, or miss-to-install latencies recovered
-// from a bare trace.
-func cmdHist(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"hist needs a metrics or trace file"}
-	}
-	doc, events, code, err := gatherDocs(args)
-	if err != nil {
-		return code, err
-	}
-	if doc != nil {
-		if len(doc.Histograms) == 0 {
-			return 2, fmt.Errorf("metrics document has no histograms section (pre-profiler snapshot?)")
-		}
-		fmt.Fprint(stdout, obsv.FormatHistograms(doc.Histograms))
-		return 0, nil
-	}
-	hists, unmatched := obsv.TraceHistograms(events)
-	fmt.Fprint(stdout, obsv.FormatHistograms(hists))
-	if unmatched > 0 {
-		fmt.Fprintf(stdout, "note: %d misses never installed (merged requests or truncated trace)\n", unmatched)
-	}
-	return 0, nil
-}
-
 // gatherDocs reads the argument files for breakdown/hist: either a single
 // metrics snapshot, or one or more trace segments concatenated.
-func gatherDocs(args []string) (*obsv.Snapshot, []protocol.TraceEvent, int, error) {
-	first, err := readDoc(args[0])
-	if err != nil {
-		return nil, nil, 2, err
+func gatherDocs(args []string) (*obsv.Snapshot, []protocol.TraceEvent, error) {
+	snap, events, err := readDoc(args[0])
+	if err != nil || len(args) == 1 {
+		return snap, events, err
 	}
-	if first.snap != nil {
-		if len(args) > 1 {
-			return nil, nil, 2, usageError{"a metrics document cannot be concatenated with other files"}
-		}
-		return first.snap, nil, 0, nil
+	if snap != nil {
+		return nil, nil, usageError{"a metrics document cannot be concatenated with other files"}
 	}
-	events := first.events
-	if len(args) > 1 {
-		rest, err := readTraces(args[1:])
-		if err != nil {
-			return nil, nil, 2, err
-		}
-		events = append(events, rest...)
-	}
-	return nil, events, 0, nil
-}
-
-func cmdCritPath(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"critpath needs at least one trace file"}
-	}
-	events, err := readTraces(args)
-	if err != nil {
-		return 2, err
-	}
-	c := obsv.BuildCausal(events)
-	fmt.Fprint(stdout, c.CriticalPath().Format(c))
-	return 0, nil
-}
-
-// cmdSpans renders the request-span report: reconstruction accounting, tail
-// percentiles by group, the per-stage breakdown and the slowest requests.
-func cmdSpans(args []string, stdout, stderr io.Writer) (int, error) {
-	fs := flag.NewFlagSet("spans", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	top := fs.Int("top", 5, "number of slowest requests to show with waterfalls (0 = none)")
-	if err := fs.Parse(args); err != nil {
-		return 2, usageError{err.Error()}
-	}
-	if fs.NArg() == 0 {
-		return 2, usageError{"spans needs at least one trace file"}
-	}
-	events, err := readTraces(fs.Args())
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.FormatSpans(obsv.BuildSpans(events), *top))
-	return 0, nil
-}
-
-// cmdPhases renders the windowed time-series of span stage totals.
-func cmdPhases(args []string, stdout, stderr io.Writer) (int, error) {
-	fs := flag.NewFlagSet("phases", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	w := fs.Int("w", 8, "number of equal virtual-time windows")
-	if err := fs.Parse(args); err != nil {
-		return 2, usageError{err.Error()}
-	}
-	if fs.NArg() == 0 {
-		return 2, usageError{"phases needs at least one trace file"}
-	}
-	events, err := readTraces(fs.Args())
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.FormatPhases(obsv.BuildSpans(events), *w))
-	return 0, nil
-}
-
-func cmdExportChrome(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"export-chrome needs at least one trace file"}
-	}
-	events, err := readTraces(args)
-	if err != nil {
-		return 2, err
-	}
-	if err := obsv.ExportChrome(events, stdout); err != nil {
-		return 2, err
-	}
-	return 0, nil
-}
-
-func cmdCheck(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"check needs at least one trace file"}
-	}
-	events, err := readTraces(args)
-	if err != nil {
-		return 2, err
-	}
-	c := obsv.CheckTrace(events)
-	fmt.Fprint(stdout, c.Report())
-	if len(c.Violations()) > 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// cmdRaces runs the happens-before data-race detector over the trace. A
-// gapped (filtered or sampled) trace is a schema error — the detector needs
-// the complete event stream — so it exits 2, never a spurious "race-free".
-func cmdRaces(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"races needs at least one trace file"}
-	}
-	events, err := readTraces(args)
-	if err != nil {
-		return 2, err
-	}
-	rep, err := obsv.DetectRaces(events)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, rep.Format())
-	if len(rep.Races) > 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// cmdMigrations reports the trace's online home-migration activity: hand-off
-// and forward totals, then per-block home chains with cost evidence (see
-// OBSERVABILITY.md §11).
-func cmdMigrations(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"migrations needs at least one trace file"}
-	}
-	events, err := readTraces(args)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.MigrationReport(events))
-	return 0, nil
-}
-
-// cmdSync renders the synchronization contention report: per-primitive wait
-// and hold distributions, the most contended locks with their ownership
-// hand-off chains, the cycle-weighted wait-for summary, and each primitive's
-// critical-path share (see OBSERVABILITY.md §12). Gapped or pre-extension
-// traces degrade into dropped-lifecycle accounting, so the command always
-// exits 0 on a readable trace.
-func cmdSync(args []string, stdout, stderr io.Writer) (int, error) {
-	fs := flag.NewFlagSet("sync", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	top := fs.Int("top", 5, "number of most contended locks to show with hand-off chains (0 = none)")
-	if err := fs.Parse(args); err != nil {
-		return 2, usageError{err.Error()}
-	}
-	if fs.NArg() == 0 {
-		return 2, usageError{"sync needs at least one trace file"}
-	}
-	events, err := readTraces(fs.Args())
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.FormatSync(obsv.BuildSync(events), *top))
-	return 0, nil
-}
-
-// cmdSkew renders the barrier observatory: per-generation arrival and
-// departure skew with straggler attribution.
-func cmdSkew(args []string, stdout io.Writer) (int, error) {
-	if len(args) == 0 {
-		return 2, usageError{"skew needs at least one trace file"}
-	}
-	events, err := readTraces(args)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.FormatSkew(obsv.BuildSync(events)))
-	return 0, nil
+	rest, err := readTraces(args[1:])
+	return nil, append(events, rest...), err
 }
 
 // metricsDoc reads the single metrics document the observatory subcommands
@@ -547,119 +435,96 @@ func metricsDoc(cmd string, args []string) (*obsv.Snapshot, error) {
 	if len(args) != 1 {
 		return nil, usageError{cmd + " needs exactly one metrics file"}
 	}
-	doc, err := readDoc(args[0])
+	snap, _, err := readDoc(args[0])
 	if err != nil {
 		return nil, err
 	}
-	if doc.snap == nil {
+	if snap == nil {
 		return nil, usageError{cmd + " needs a metrics document, not a trace"}
 	}
-	if len(doc.snap.Blocks) == 0 {
+	if len(snap.Blocks) == 0 {
 		return nil, fmt.Errorf("metrics document has no blocks section (pre-observatory snapshot, or a run with no attributed block activity)")
 	}
-	return doc.snap, nil
+	return snap, nil
 }
 
-// cmdBlocks renders the top-N rows of the blocks section: the hottest
-// coherence blocks with their classified sharing patterns.
-func cmdBlocks(args []string, stdout, stderr io.Writer) (int, error) {
-	fs := flag.NewFlagSet("blocks", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	n := fs.Int("n", 20, "number of blocks to show (0 = all recorded)")
-	if err := fs.Parse(args); err != nil {
-		return 2, usageError{err.Error()}
+// readInput checks a command's operands against its input kind and reads
+// the files they name.
+func readInput(c *command, args []string) (in input, err error) {
+	files := args[min(c.lead, len(args)):]
+	in.lead = args[:len(args)-len(files)]
+	switch c.input {
+	case traces:
+		if len(files) == 0 {
+			need := "at least one trace file"
+			if c.lead > 0 {
+				need = c.args + " and " + need
+			}
+			return in, usageError{c.name + " needs " + need}
+		}
+		in.events, err = readTraces(files)
+	case pair:
+		if len(files) != 2 {
+			return in, usageError{c.name + " needs exactly two trace files"}
+		}
+		if in.events, err = readTraces(files[:1]); err == nil {
+			in.second, err = readTraces(files[1:])
+		}
+	case either:
+		if len(files) == 0 {
+			return in, usageError{c.name + " needs a metrics or trace file"}
+		}
+		in.snap, in.events, err = gatherDocs(files)
+	case metrics:
+		in.snap, err = metricsDoc(c.name, files)
 	}
-	snap, err := metricsDoc("blocks", fs.Args())
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.FormatBlocks(snap, *n))
-	return 0, nil
-}
-
-// cmdFalseshare renders the offset-overlap evidence for blocks the
-// classifier flagged as falsely shared.
-func cmdFalseshare(args []string, stdout io.Writer) (int, error) {
-	snap, err := metricsDoc("falseshare", args)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.FormatFalseShare(snap))
-	return 0, nil
-}
-
-// cmdAdvise renders the placement advisor's home and block-size
-// recommendations.
-func cmdAdvise(args []string, stdout io.Writer) (int, error) {
-	snap, err := metricsDoc("advise", args)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprint(stdout, obsv.FormatAdvice(snap))
-	return 0, nil
+	return in, err
 }
 
 // run dispatches a full command line (without the program name) and returns
 // the process exit status, writing all output to the given streams.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		fmt.Fprint(stderr, usageText)
+		fmt.Fprint(stderr, usageText())
 		return 2
 	}
-	cmd, rest := args[0], args[1:]
-	var code int
-	var err error
-	switch cmd {
-	case "-h", "--help", "help":
-		fmt.Fprint(stdout, usageText)
+	if name := args[0]; name == "-h" || name == "--help" || name == "help" {
+		fmt.Fprint(stdout, usageText())
 		return 0
-	case "summarize":
-		code, err = cmdSummarize(rest, stdout)
-	case "filter":
-		code, err = cmdFilter(rest, stdout, stderr)
-	case "timeline":
-		code, err = cmdTimeline(rest, stdout)
-	case "diff":
-		code, err = cmdDiff(rest, stdout)
-	case "breakdown":
-		code, err = cmdBreakdown(rest, stdout)
-	case "hist":
-		code, err = cmdHist(rest, stdout)
-	case "critpath":
-		code, err = cmdCritPath(rest, stdout)
-	case "spans":
-		code, err = cmdSpans(rest, stdout, stderr)
-	case "phases":
-		code, err = cmdPhases(rest, stdout, stderr)
-	case "export-chrome":
-		code, err = cmdExportChrome(rest, stdout)
-	case "check":
-		code, err = cmdCheck(rest, stdout)
-	case "races":
-		code, err = cmdRaces(rest, stdout)
-	case "migrations":
-		code, err = cmdMigrations(rest, stdout)
-	case "sync":
-		code, err = cmdSync(rest, stdout, stderr)
-	case "skew":
-		code, err = cmdSkew(rest, stdout)
-	case "blocks":
-		code, err = cmdBlocks(rest, stdout, stderr)
-	case "falseshare":
-		code, err = cmdFalseshare(rest, stdout)
-	case "advise":
-		code, err = cmdAdvise(rest, stdout)
-	default:
-		fmt.Fprint(stderr, usageText)
+	}
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == args[0] })
+	if i < 0 {
+		fmt.Fprint(stderr, usageText())
 		return 2
 	}
+	code, err := commands[i].exec(args[1:], stdout, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "shastatrace: %v\n", err)
 		if _, isUsage := err.(usageError); isUsage {
-			fmt.Fprint(stderr, usageText)
+			fmt.Fprint(stderr, usageText())
 		}
 	}
 	return code
+}
+
+// exec runs one command: flags, operand check, file reading, analysis. Every
+// failure before the analysis is exit status 2.
+func (c *command) exec(args []string, stdout, stderr io.Writer) (int, error) {
+	var o options
+	if c.flags != nil {
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		c.flags(fs, &o)
+		if err := fs.Parse(args); err != nil {
+			return 2, usageError{err.Error()}
+		}
+		args = fs.Args()
+	}
+	in, err := readInput(c, args)
+	if err != nil {
+		return 2, err
+	}
+	return c.run(in, &o, stdout)
 }
 
 func main() {

@@ -81,18 +81,10 @@ func execContention(o Options, app string, procs int, fastSync bool) (contention
 }
 
 // writeContentionFiles emits the cell's observability artifacts: the full
-// metrics snapshot as BENCH_contention_<cell>.json plus the sync and skew
+// metrics snapshot as METRICS_contention_<cell>.json plus the sync and skew
 // reports as SYNC_<cell>.txt and SKEW_<cell>.txt.
 func writeContentionFiles(name string, c contentionRun) error {
-	mf, err := os.Create(filepath.Join(obsvDir, "BENCH_contention_"+name+".json"))
-	if err != nil {
-		return err
-	}
-	if err := c.result.Metrics.WriteJSON(mf); err != nil {
-		mf.Close()
-		return err
-	}
-	if err := mf.Close(); err != nil {
+	if err := writeMetrics("contention_"+name, c.result.Metrics); err != nil {
 		return err
 	}
 	if err := os.WriteFile(filepath.Join(obsvDir, "SYNC_"+name+".txt"),
@@ -118,23 +110,12 @@ func writeContentionFiles(name string, c contentionRun) error {
 // scenario ("contention/<app>/p<procs>/<flat|hier>") for benchgate
 // comparison across commits. With observability emission enabled
 // (shastabench -obsv), each cell also writes its metrics snapshot as
-// BENCH_contention_<app>_p<procs>_<flat|hier>.json and its sync and skew
+// METRICS_contention_<app>_p<procs>_<flat|hier>.json and its sync and skew
 // reports as SYNC_*.txt and SKEW_*.txt.
 func Contention(o Options, w io.Writer) error {
 	o = o.WithDefaults()
 
-	var snap *BenchSnapshot
-	if o.SnapshotPath != "" {
-		label := o.BenchLabel
-		if label == "" {
-			label = "local"
-		}
-		snap = newBenchSnapshot(label)
-	}
-	sched := "serial"
-	if parallel {
-		sched = "adaptive"
-	}
+	rec := newSnapshotRecorder(o)
 
 	tw := newTab(w)
 	fmt.Fprintln(tw, "app\tprocs\tbarrier\tcycles\tΔcycles\tbar msgs\tgens\tarrive-skew\tdepart-skew")
@@ -165,20 +146,8 @@ func Contention(o Options, w io.Writer) error {
 					fx.app, procs, mode, c.cycles, delta, c.barMsgs, c.gens,
 					c.arriveSkew, c.departSkew)
 				name := fmt.Sprintf("%s_p%d_%s", fx.app, procs, mode)
-				if snap != nil {
-					cfg := contentionConfig(procs, fast)
-					snap.Scenarios = append(snap.Scenarios, BenchScenario{
-						Name:         fmt.Sprintf("contention/%s/p%d/%s", fx.app, procs, mode),
-						App:          fx.app,
-						Procs:        procs,
-						ProcsPerNode: cfg.Clustering,
-						Clustering:   cfg.Clustering,
-						Scheduler:    sched,
-						WallNs:       c.wall.Nanoseconds(),
-						Cycles:       c.cycles,
-						Checksum:     c.result.Checksum,
-					})
-				}
+				rec.add(fmt.Sprintf("contention/%s/p%d/%s", fx.app, procs, mode), fx.app, "",
+					contentionConfig(procs, fast), c.wall, c.result)
 				if obsvDir != "" {
 					if err := writeContentionFiles(name, c); err != nil {
 						return err
@@ -210,12 +179,5 @@ func Contention(o Options, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if snap != nil {
-		if err := snap.WriteFile(o.SnapshotPath); err != nil {
-			return fmt.Errorf("harness: contention: snapshot: %w", err)
-		}
-		fmt.Fprintf(w, "snapshot written: %s (label %s, %d scenarios)\n",
-			o.SnapshotPath, snap.Label, len(snap.Scenarios))
-	}
-	return nil
+	return rec.write("contention", w)
 }

@@ -118,7 +118,7 @@ type runKey struct {
 var runCache = map[runKey]apps.RunResult{}
 
 // obsvDir, when set, makes every (uncached) application run emit a
-// TRACE_<run>.jsonl protocol trace and a BENCH_<run>.json metrics snapshot
+// TRACE_<run>.jsonl protocol trace and a METRICS_<run>.json metrics snapshot
 // into the directory. Process-global like runCache; shastabench sets it from
 // its -obsv flag before running experiments.
 var obsvDir string
@@ -215,18 +215,22 @@ func runObserved(key runKey, w apps.Workload, cfg shasta.Config, varGran bool) (
 	if err != nil {
 		return apps.RunResult{}, err
 	}
-	mf, err := os.Create(filepath.Join(obsvDir, "BENCH_"+name+".json"))
+	return r, writeMetrics(name, r.Metrics)
+}
+
+// writeMetrics emits a run's shasta-metrics snapshot into the observability
+// directory as METRICS_<name>.json (BENCH_*.json names are shasta-bench/v1
+// snapshots only).
+func writeMetrics(name string, m *shasta.Metrics) error {
+	f, err := os.Create(filepath.Join(obsvDir, "METRICS_"+name+".json"))
 	if err != nil {
-		return apps.RunResult{}, err
+		return err
 	}
-	if err := r.Metrics.WriteJSON(mf); err != nil {
-		mf.Close()
-		return apps.RunResult{}, err
+	if err := m.WriteJSON(f); err != nil {
+		f.Close()
+		return err
 	}
-	if err := mf.Close(); err != nil {
-		return apps.RunResult{}, err
-	}
-	return r, nil
+	return f.Close()
 }
 
 // ResetCache clears memoized runs (tests use it to control determinism

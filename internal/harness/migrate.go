@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro"
@@ -168,22 +166,11 @@ var migFixtures = []struct {
 // shasta-bench/v1 scenarios ("migrate/<fixture>/off|on") for benchgate
 // comparison across commits. With observability emission enabled
 // (shastabench -obsv), each run also writes its full metrics snapshot as
-// BENCH_migrate_<fixture>_{off,on}.json.
+// METRICS_migrate_<fixture>_{off,on}.json.
 func Migrate(o Options, w io.Writer) error {
 	o = o.WithDefaults()
 
-	var snap *BenchSnapshot
-	if o.SnapshotPath != "" {
-		label := o.BenchLabel
-		if label == "" {
-			label = "local"
-		}
-		snap = newBenchSnapshot(label)
-	}
-	sched := "serial"
-	if parallel {
-		sched = "adaptive"
-	}
+	rec := newSnapshotRecorder(o)
 
 	tw := newTab(w)
 	fmt.Fprintln(tw, "fixture\tmigrate\tcycles\tΔcycles\tmigrations\tforwards\t3-hop misses\tremote msgs")
@@ -213,30 +200,9 @@ func Migrate(o Options, w io.Writer) error {
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%d\t%d\t%d\n",
 				fx.name, mode, cycles[i], delta, t.Migrations, t.MigForwards,
 				threeHop, t.Messages["remote"])
-			if snap != nil {
-				snap.Scenarios = append(snap.Scenarios, BenchScenario{
-					Name:         fmt.Sprintf("migrate/%s/%s", fx.name, mode),
-					App:          fx.name,
-					Procs:        fx.procs,
-					ProcsPerNode: 4,
-					Clustering:   fx.cfg(fx.procs).Clustering,
-					Scheduler:    sched,
-					WallNs:       wall.Nanoseconds(),
-					Cycles:       r.Result.ParallelCycles,
-					Checksum:     r.Checksum,
-				})
-			}
+			rec.add(fmt.Sprintf("migrate/%s/%s", fx.name, mode), fx.name, "", cfg, wall, r)
 			if obsvDir != "" {
-				path := filepath.Join(obsvDir, fmt.Sprintf("BENCH_migrate_%s_%s.json", fx.name, mode))
-				mf, err := os.Create(path)
-				if err != nil {
-					return err
-				}
-				if err := r.Metrics.WriteJSON(mf); err != nil {
-					mf.Close()
-					return err
-				}
-				if err := mf.Close(); err != nil {
+				if err := writeMetrics(fmt.Sprintf("migrate_%s_%s", fx.name, mode), r.Metrics); err != nil {
 					return err
 				}
 			}
@@ -251,12 +217,5 @@ func Migrate(o Options, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if snap != nil {
-		if err := snap.WriteFile(o.SnapshotPath); err != nil {
-			return fmt.Errorf("harness: migrate: snapshot: %w", err)
-		}
-		fmt.Fprintf(w, "snapshot written: %s (label %s, %d scenarios)\n",
-			o.SnapshotPath, snap.Label, len(snap.Scenarios))
-	}
-	return nil
+	return rec.write("migrate", w)
 }

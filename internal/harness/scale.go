@@ -121,14 +121,9 @@ func Scale(o Options, w io.Writer) error {
 		return err
 	}
 
-	var snap *BenchSnapshot
-	if o.SnapshotPath != "" {
-		label := o.BenchLabel
-		if label == "" {
-			label = "local"
-		}
-		snap = newBenchSnapshot(label)
-		fmt.Fprintf(w, "calibration: %.1fms\n", float64(snap.CalibrationNs)/1e6)
+	rec := newSnapshotRecorder(o)
+	if rec != nil {
+		fmt.Fprintf(w, "calibration: %.1fms\n", float64(rec.snap.CalibrationNs)/1e6)
 	}
 	fmt.Fprintf(w, "host cores (GOMAXPROCS): %d\n", runtime.GOMAXPROCS(0))
 
@@ -176,24 +171,7 @@ func Scale(o Options, w io.Writer) error {
 							rr.Checksum, ref.Checksum)
 					}
 				}
-				if snap != nil {
-					rppn := runCfg.ProcsPerNode
-					if rppn == 0 {
-						rppn = 4
-					}
-					snap.Scenarios = append(snap.Scenarios, BenchScenario{
-						Name:          fmt.Sprintf("scale/%s/p%d/%s", name, procs, sched),
-						App:           name,
-						Procs:         procs,
-						ProcsPerNode:  rppn,
-						NodesPerGroup: runCfg.NodesPerGroup,
-						Clustering:    runCfg.Clustering,
-						Scheduler:     sched,
-						WallNs:        walls[sched].Nanoseconds(),
-						Cycles:        r.Result.ParallelCycles,
-						Checksum:      r.Checksum,
-					})
-				}
+				rec.add(fmt.Sprintf("scale/%s/p%d/%s", name, procs, sched), name, sched, runCfg, walls[sched], r)
 			}
 			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.2fs\t%.2fs\t%.2fs\t%.2fx\tyes\n",
 				name, procs, topologyName(cfg), ref.Result.ParallelCycles,
@@ -204,12 +182,5 @@ func Scale(o Options, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if snap != nil {
-		if err := snap.WriteFile(o.SnapshotPath); err != nil {
-			return fmt.Errorf("harness: scale: snapshot: %w", err)
-		}
-		fmt.Fprintf(w, "snapshot written: %s (label %s, %d scenarios)\n",
-			o.SnapshotPath, snap.Label, len(snap.Scenarios))
-	}
-	return nil
+	return rec.write("scale", w)
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro"
 	"repro/internal/apps"
@@ -26,7 +24,7 @@ var sharingLineSizes = [2]int{64, 256}
 // to blocks the observatory flags, without re-running the application.
 //
 // When observability emission is enabled (shastabench -obsv), each run's
-// metrics snapshot is written as BENCH_sharing_<app>_l<linesize>.json.
+// metrics snapshot is written as METRICS_sharing_<app>_l<linesize>.json.
 func Sharing(o Options, w io.Writer) error {
 	o = o.WithDefaults()
 	names := appList(o, apps.Names)
@@ -50,7 +48,7 @@ func Sharing(o Options, w io.Writer) error {
 			cycles[i] = r.Metrics.Cycles
 			coarse = r.Metrics
 			if obsvDir != "" {
-				if err := writeSharingMetrics(name, ls, r.Metrics); err != nil {
+				if err := writeMetrics(fmt.Sprintf("sharing_%s_l%d", name, ls), r.Metrics); err != nil {
 					return err
 				}
 			}
@@ -77,7 +75,7 @@ func Sharing(o Options, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 		// Reports show the hottest few blocks; shastatrace falseshare and
-		// advise on the emitted BENCH_sharing_*.json files give the rest.
+		// advise on the emitted METRICS_sharing_*.json files give the rest.
 		trimmed := *coarse
 		if len(trimmed.Blocks) > 12 {
 			trimmed.Blocks = trimmed.Blocks[:12]
@@ -89,19 +87,4 @@ func Sharing(o Options, w io.Writer) error {
 		fmt.Fprint(w, obsv.FormatAdvice(&trimmed))
 	}
 	return nil
-}
-
-// writeSharingMetrics emits one line-size run's metrics snapshot into the
-// observability directory, for the CI artifact.
-func writeSharingMetrics(app string, lineSize int, m *shasta.Metrics) error {
-	path := filepath.Join(obsvDir, fmt.Sprintf("BENCH_sharing_%s_l%d.json", app, lineSize))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

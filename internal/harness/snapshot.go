@@ -3,11 +3,15 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
+
+	"repro"
+	"repro/internal/apps"
 )
 
 // BenchSchema identifies the benchmark snapshot format. Bump the suffix on
@@ -72,6 +76,71 @@ func newBenchSnapshot(label string) *BenchSnapshot {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		CalibrationNs: calibrate(),
 	}
+}
+
+// snapshotRecorder collects an experiment's scenarios into the snapshot
+// Options.SnapshotPath asks for. A nil recorder (no snapshot requested)
+// records nothing.
+type snapshotRecorder struct {
+	snap *BenchSnapshot
+	path string
+}
+
+// newSnapshotRecorder returns the recorder for o, nil when o requests no
+// snapshot.
+func newSnapshotRecorder(o Options) *snapshotRecorder {
+	if o.SnapshotPath == "" {
+		return nil
+	}
+	label := o.BenchLabel
+	if label == "" {
+		label = "local"
+	}
+	return &snapshotRecorder{snap: newBenchSnapshot(label), path: o.SnapshotPath}
+}
+
+// add records one timed run of app under cfg as the scenario called name. An
+// empty sched means the harness-wide scheduler choice (shastabench
+// -parallel).
+func (r *snapshotRecorder) add(name, app, sched string, cfg shasta.Config, wall time.Duration, res apps.RunResult) {
+	if r == nil {
+		return
+	}
+	if sched == "" {
+		sched = "serial"
+		if parallel {
+			sched = "adaptive"
+		}
+	}
+	ppn := cfg.ProcsPerNode
+	if ppn == 0 {
+		ppn = 4
+	}
+	r.snap.Scenarios = append(r.snap.Scenarios, BenchScenario{
+		Name:          name,
+		App:           app,
+		Procs:         cfg.Procs,
+		ProcsPerNode:  ppn,
+		NodesPerGroup: cfg.NodesPerGroup,
+		Clustering:    cfg.Clustering,
+		Scheduler:     sched,
+		WallNs:        wall.Nanoseconds(),
+		Cycles:        res.Result.ParallelCycles,
+		Checksum:      res.Checksum,
+	})
+}
+
+// write stores the snapshot and reports it on w.
+func (r *snapshotRecorder) write(experiment string, w io.Writer) error {
+	if r == nil {
+		return nil
+	}
+	if err := r.snap.WriteFile(r.path); err != nil {
+		return fmt.Errorf("harness: %s: snapshot: %w", experiment, err)
+	}
+	fmt.Fprintf(w, "snapshot written: %s (label %s, %d scenarios)\n",
+		r.path, r.snap.Label, len(r.snap.Scenarios))
+	return nil
 }
 
 // WriteFile writes the snapshot as indented JSON.

@@ -40,7 +40,7 @@ var tailTopologies = []struct {
 // link-queue stages rather than handler service.
 //
 // With observability emission enabled (shastabench -obsv), each topology's
-// run writes BENCH_tail_<app>_<topo>.json (metrics snapshot) and
+// run writes METRICS_tail_<app>_<topo>.json (metrics snapshot) and
 // SPANS_tail_<app>_<topo>.txt (full span report).
 func Tail(o Options, w io.Writer) error {
 	o = o.WithDefaults()
@@ -82,8 +82,8 @@ func Tail(o Options, w io.Writer) error {
 			totals := spanTotals(ss, routeAll)
 			fmt.Fprintf(tab, "%s (%s)\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 				topo.name, topologyName(cfg), r.Metrics.Cycles, len(ss.Spans),
-				ss.DroppedTotal(), spanPct(totals, 0.50), spanPct(totals, 0.90),
-				spanPct(totals, 0.99), spanPct(totals, 0.999), spanPct(totals, 1.0))
+				ss.DroppedTotal(), obsv.Percentile(totals, 0.50), obsv.Percentile(totals, 0.90),
+				obsv.Percentile(totals, 0.99), obsv.Percentile(totals, 0.999), obsv.Percentile(totals, 1.0))
 			// Route split: the span layer attributes the hierarchy's cost
 			// to the requests that actually crossed an uplink.
 			if up := spanTotals(ss, routeUplink); len(up) > 0 {
@@ -94,9 +94,9 @@ func Tail(o Options, w io.Writer) error {
 				}{{"· intra-group", in}, {"· uplink", up}} {
 					fmt.Fprintf(tab, "  %s\t\t%d\t\t%d\t%d\t%d\t%d\t%d\n",
 						row.label, len(row.totals),
-						spanPct(row.totals, 0.50), spanPct(row.totals, 0.90),
-						spanPct(row.totals, 0.99), spanPct(row.totals, 0.999),
-						spanPct(row.totals, 1.0))
+						obsv.Percentile(row.totals, 0.50), obsv.Percentile(row.totals, 0.90),
+						obsv.Percentile(row.totals, 0.99), obsv.Percentile(row.totals, 0.999),
+						obsv.Percentile(row.totals, 1.0))
 				}
 			}
 			if obsvDir != "" {
@@ -109,14 +109,14 @@ func Tail(o Options, w io.Writer) error {
 			return err
 		}
 		flat, hier := results[0], results[1]
-		fp99 := spanPct(spanTotals(flat.ss, routeAll), 0.99)
-		hp99 := spanPct(spanTotals(hier.ss, routeAll), 0.99)
+		fp99 := obsv.Percentile(spanTotals(flat.ss, routeAll), 0.99)
+		hp99 := obsv.Percentile(spanTotals(hier.ss, routeAll), 0.99)
 		if fp99 > 0 {
 			fmt.Fprintf(w, "p99 inflation hier vs flat: %+.1f%%\n",
 				100*(float64(hp99)-float64(fp99))/float64(fp99))
 		}
-		up99 := spanPct(spanTotals(hier.ss, routeUplink), 0.99)
-		in99 := spanPct(spanTotals(hier.ss, routeIntra), 0.99)
+		up99 := obsv.Percentile(spanTotals(hier.ss, routeUplink), 0.99)
+		in99 := obsv.Percentile(spanTotals(hier.ss, routeIntra), 0.99)
 		if in99 > 0 && up99 > 0 {
 			fmt.Fprintf(w, "hier uplink-route p99 vs intra-group: %+.1f%%\n",
 				100*(float64(up99)-float64(in99))/float64(in99))
@@ -178,27 +178,12 @@ func spanTotals(ss *obsv.SpanSet, match func(*obsv.Span) bool) []int64 {
 	return totals
 }
 
-// spanPct is the exact nearest-rank percentile of sorted latencies.
-func spanPct(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(float64(len(sorted))*q+0.999999) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 // tailComposition renders where the slowest 1% of requests spend their
 // cycles, by stage, largest share first, with the share of those requests
 // that crossed an uplink.
 func tailComposition(ss *obsv.SpanSet) string {
 	totals := spanTotals(ss, routeAll)
-	p99 := spanPct(totals, 0.99)
+	p99 := obsv.Percentile(totals, 0.99)
 	stages := map[string]int64{}
 	var grand int64
 	n, uplink := 0, 0
@@ -239,16 +224,7 @@ func tailComposition(ss *obsv.SpanSet) string {
 // writeTailFiles emits one topology run's metrics snapshot and span report
 // into the observability directory, for the CI artifact.
 func writeTailFiles(app, topo string, m *shasta.Metrics, ss *obsv.SpanSet) error {
-	bp := filepath.Join(obsvDir, fmt.Sprintf("BENCH_tail_%s_%s.json", app, topo))
-	bf, err := os.Create(bp)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(bf); err != nil {
-		bf.Close()
-		return err
-	}
-	if err := bf.Close(); err != nil {
+	if err := writeMetrics(fmt.Sprintf("tail_%s_%s", app, topo), m); err != nil {
 		return err
 	}
 	sp := filepath.Join(obsvDir, fmt.Sprintf("SPANS_tail_%s_%s.txt", app, topo))

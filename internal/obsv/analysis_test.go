@@ -3,10 +3,13 @@ package obsv_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/apps"
 	"repro/internal/obsv"
 	"repro/internal/protocol"
 )
@@ -236,6 +239,10 @@ func TestCheckerGapTolerance(t *testing.T) {
 	if v := c.Violations(); len(v) != 0 {
 		t.Fatalf("gapped trace produced hard violations:\n%s", c.Report())
 	}
+	// The report counts the events replayed, not the last seq it saw.
+	if want := fmt.Sprintf("ok: %d events replayed", len(sampled)); !strings.HasPrefix(c.Report(), want) {
+		t.Fatalf("report %q, want prefix %q", c.Report(), want)
+	}
 }
 
 func TestCausalGapTolerance(t *testing.T) {
@@ -278,8 +285,11 @@ func TestCausalGapTolerance(t *testing.T) {
 	}
 	// Every recovered message edge must still pair a send with a handle of
 	// the same kind and block, send strictly before handle.
-	for h, s := range c.SendOf {
-		snd, hnd := c.Events[s], c.Events[h]
+	for _, l := range c.Legs {
+		if l.Send < 0 || l.Handle < 0 {
+			continue
+		}
+		snd, hnd := c.Events[l.Send], c.Events[l.Handle]
 		if snd.Op != "send" || hnd.Op != "handle" || snd.Msg != hnd.Msg ||
 			snd.BaseLine != hnd.BaseLine || snd.Seq >= hnd.Seq {
 			t.Fatalf("mis-paired edge: send %+v -> handle %+v", snd, hnd)
@@ -289,6 +299,102 @@ func TestCausalGapTolerance(t *testing.T) {
 	cp := c.CriticalPath()
 	if len(cp.Path) == 0 {
 		t.Fatal("no critical path on filtered trace")
+	}
+}
+
+// checkLegRequesters asserts that every matched leg pairs a handle with a
+// send from the processor the handle says the message came from: requests
+// and the sender-named sync kinds carry the sender in the handle's Req,
+// forwards carry the requester their xmit named, replies are handled by the
+// requester they were sent to. It returns how many legs it checked.
+func checkLegRequesters(t *testing.T, c *obsv.Causal) (checked int) {
+	t.Helper()
+	for _, l := range c.Legs {
+		if l.Send < 0 || l.Handle < 0 {
+			continue
+		}
+		snd, hnd := &c.Events[l.Send], &c.Events[l.Handle]
+		if !hnd.Typed {
+			continue
+		}
+		ok := true
+		switch hnd.Msg {
+		case "ReadReq", "ReadExclReq", "UpgradeReq", "LockReq", "LockRel", "BarArrive":
+			ok = int(hnd.Req) == snd.Proc
+		case "ReadFwd", "ReadExclFwd":
+			ok = l.Xmit < 0 || c.Events[l.Xmit].Req == hnd.Req
+		case "DataReply", "DataExclReply", "UpgradeAck":
+			ok = int(snd.Peer) == hnd.Proc && int(l.Req) == hnd.Proc
+		default:
+			continue
+		}
+		if !ok {
+			t.Errorf("handle seq=%d %s blk%d at p%d (R%d) paired with send seq=%d by p%d",
+				hnd.Seq, hnd.Msg, hnd.BaseLine, hnd.Proc, hnd.Req, snd.Seq, snd.Proc)
+		}
+		checked++
+	}
+	return checked
+}
+
+// TestCausalPairsByRequester pins the one pairing rule. Two requesters'
+// ReadReq for one block reach the same home and are handled in the opposite
+// order of their sends (the intra-node queue beat the Memory Channel), and
+// the home re-dispatches one of them later from its requeue, with no send.
+// Arrival-order matching pairs each handle with the other requester's send
+// and the re-dispatch with whatever is left; the index must pair by the
+// requester each handle names and leave the re-dispatch without a send.
+func TestCausalPairsByRequester(t *testing.T) {
+	var b traceBuilder
+	b.ev(100, 4, "send", "ReadReq", 0, "to p0 seq=0 acks=0")
+	b.ev(120, 5, "send", "ReadReq", 0, "to p0 seq=0 acks=0")
+	b.ev(300, 0, "handle", "ReadReq", 0, "from R5 seq=0: state=Pr priv=I seq=0 entry=-")
+	b.ev(900, 0, "handle", "ReadReq", 0, "from R4 seq=0: state=Pr priv=I seq=0 entry=-")
+	b.ev(1500, 0, "handle", "ReadReq", 0, "from R5 seq=0: state=S priv=I seq=1 entry=-")
+	c := obsv.BuildCausal(b.evs)
+	if got := checkLegRequesters(t, c); got != 2 {
+		t.Fatalf("%d matched legs, want 2", got)
+	}
+	if c.SendOf(2) != 1 || c.SendOf(3) != 0 || c.SendOf(4) != -1 {
+		t.Fatalf("handles paired with sends %d, %d, %d; want 1, 0, -1",
+			c.SendOf(2), c.SendOf(3), c.SendOf(4))
+	}
+	if len(c.Warnings) != 1 || !strings.Contains(c.Warnings[0], "handle without visible send: seq=5") {
+		t.Fatalf("warnings %q, want only the re-dispatch's", c.Warnings)
+	}
+}
+
+// TestCausalRequestersOnRealTraces holds the same invariant over the
+// committed fixtures and a fresh 16-processor Water-Nsq run, whose hot
+// blocks and per-molecule locks do draw concurrent same-kind messages.
+func TestCausalRequestersOnRealTraces(t *testing.T) {
+	traces := map[string][]protocol.TraceEvent{}
+	for _, name := range []string{"small", "racy", "migrate"} {
+		f, err := os.Open("../../cmd/shastatrace/testdata/" + name + ".jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, events, err := obsv.ReadTrace(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		traces[name] = events
+	}
+	col := &shasta.CollectorTracer{}
+	if _, err := apps.ExecuteObserved(apps.Registry["Water-Nsq"](1),
+		shasta.Config{Procs: 16, Clustering: 4}, false, col); err != nil {
+		t.Fatal(err)
+	}
+	traces["Water-Nsq p16"] = col.Events
+	for name, events := range traces {
+		c := obsv.BuildCausal(events)
+		if c.Gapped || c.BadSeq >= 0 {
+			t.Fatalf("%s: not a complete trace", name)
+		}
+		if n := checkLegRequesters(t, c); n == 0 {
+			t.Errorf("%s: no leg checked", name)
+		}
 	}
 }
 
@@ -314,10 +420,10 @@ func TestCriticalPath(t *testing.T) {
 	// Each step follows a real edge.
 	for i := 1; i < len(cp.Path); i++ {
 		cur, prev := cp.Path[i], cp.Path[i-1]
-		if s, ok := c.SendOf[cur]; ok && s == prev {
+		if c.SendOf(cur) == prev {
 			continue
 		}
-		if c.PrevOf[cur] == prev {
+		if int(c.PrevOf[cur]) == prev {
 			continue
 		}
 		t.Fatalf("path step %d -> %d follows no edge", prev, cur)

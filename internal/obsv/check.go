@@ -69,7 +69,7 @@ type Checker struct {
 	violations []Violation
 	warnings   []string
 
-	started bool
+	events  int // events replayed
 	lastSeq uint64
 	gapped  bool
 
@@ -148,7 +148,7 @@ func (c *Checker) fail(rule string, e protocol.TraceEvent, format string, args .
 
 // Event implements protocol.Tracer.
 func (c *Checker) Event(e protocol.TraceEvent) {
-	if c.started {
+	if c.events > 0 {
 		if e.Seq <= c.lastSeq {
 			c.violations = append(c.violations, Violation{
 				Rule: "seq-monotone", Seq: e.Seq, Time: e.Time, Proc: e.Proc,
@@ -162,7 +162,7 @@ func (c *Checker) Event(e protocol.TraceEvent) {
 				c.lastSeq, e.Seq))
 		}
 	}
-	c.started = true
+	c.events++
 	c.lastSeq = e.Seq
 	if t, ok := c.procTime[e.Proc]; ok && e.Time < t {
 		c.violations = append(c.violations, Violation{
@@ -251,7 +251,7 @@ func (c *Checker) Gapped() bool { return c.gapped }
 func (c *Checker) Report() string {
 	var b strings.Builder
 	if len(c.violations) == 0 {
-		fmt.Fprintf(&b, "ok: %d events replayed, no invariant violations\n", c.eventsSeen())
+		fmt.Fprintf(&b, "ok: %d events replayed, no invariant violations\n", c.events)
 	} else {
 		fmt.Fprintf(&b, "FAIL: %d invariant violations\n", len(c.violations))
 		for _, v := range c.violations {
@@ -262,13 +262,4 @@ func (c *Checker) Report() string {
 		fmt.Fprintf(&b, "warning: %s\n", w)
 	}
 	return b.String()
-}
-
-// eventsSeen reports how many events the checker replayed, derived from the
-// last sequence number on an unfiltered trace.
-func (c *Checker) eventsSeen() uint64 {
-	if !c.started {
-		return 0
-	}
-	return c.lastSeq
 }

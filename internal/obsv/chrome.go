@@ -36,22 +36,18 @@ const chromeCyclesPerMicro = 300.0
 // Deterministic for identical traces.
 func ExportChrome(events []protocol.TraceEvent, w io.Writer) error {
 	c := BuildCausal(events)
-	procs := map[int]bool{}
-	for _, e := range events {
-		procs[e.Proc] = true
-	}
 	out := make([]chromeEvent, 0, 2*len(events))
-	for p := range procs {
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: p,
-			Args: map[string]any{"name": fmt.Sprintf("p%d", p)},
-		})
+	seen := make([]bool, c.NumProcs)
+	for i := range events {
+		seen[events[i].Proc] = true
 	}
-	// Map iteration order is random; keep the metadata deterministic.
-	sortChromeMeta(out)
-	handleOf := map[int]int{}
-	for h, s := range c.SendOf {
-		handleOf[s] = h
+	for p, ok := range seen {
+		if ok {
+			out = append(out, chromeEvent{
+				Name: "thread_name", Ph: "M", Pid: 0, Tid: p,
+				Args: map[string]any{"name": fmt.Sprintf("p%d", p)},
+			})
+		}
 	}
 	for i, e := range events {
 		name := e.Op
@@ -68,12 +64,12 @@ func ExportChrome(events []protocol.TraceEvent, w io.Writer) error {
 		})
 		// Flow arrows: "s" at the send, "f" (binding to the enclosing
 		// instant) at the handle, keyed by the send's event index.
-		if _, ok := handleOf[i]; ok {
+		if l := c.LegOf[i]; l >= 0 && c.Legs[l].Send == int32(i) && c.Legs[l].Handle >= 0 {
 			out = append(out, chromeEvent{
 				Name: "msg " + e.Msg, Ph: "s", Ts: ts, Pid: 0, Tid: e.Proc, ID: i + 1,
 			})
 		}
-		if s, ok := c.SendOf[i]; ok {
+		if s := c.SendOf(i); s >= 0 {
 			out = append(out, chromeEvent{
 				Name: "msg " + e.Msg, Ph: "f", BP: "e", Ts: ts, Pid: 0, Tid: e.Proc, ID: s + 1,
 			})
@@ -82,7 +78,7 @@ func ExportChrome(events []protocol.TraceEvent, w io.Writer) error {
 	// Request spans: async ("b"/"e") events on the requester's track, one
 	// outer slice per span and one nested slice per stage. Async ids are
 	// the span's anchor seq, unique within a trace.
-	ss := BuildSpans(events)
+	ss := c.Spans()
 	for i := range ss.Spans {
 		s := &ss.Spans[i]
 		id := int(s.Seq)
@@ -114,13 +110,4 @@ func ExportChrome(events []protocol.TraceEvent, w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// sortChromeMeta orders the leading thread_name metadata events by tid.
-func sortChromeMeta(evs []chromeEvent) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j-1].Tid > evs[j].Tid; j-- {
-			evs[j-1], evs[j] = evs[j], evs[j-1]
-		}
-	}
 }

@@ -135,6 +135,10 @@ func ReadTrace(r io.Reader) (Header, []protocol.TraceEvent, error) {
 		if err := json.Unmarshal(b, &we); err != nil {
 			return h, nil, fmt.Errorf("obsv: line %d: bad trace event: %w", line, err)
 		}
+		if we.Proc < 0 || we.Proc >= protocol.MaxProcs {
+			// The analysers index per-processor tables by it.
+			return h, nil, fmt.Errorf("obsv: line %d: processor %d outside 0..%d", line, we.Proc, protocol.MaxProcs-1)
+		}
 		if len(chunk) == cap(chunk) {
 			full = append(full, chunk)
 			chunk = make([]protocol.TraceEvent, 0, readChunk)

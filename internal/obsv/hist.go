@@ -117,46 +117,34 @@ func FormatHistograms(hists map[string]Histogram) string {
 // install (e.g. merged or superseded requests, or a truncated trace) are
 // reported in the returned unmatched count.
 func TraceHistograms(events []protocol.TraceEvent) (map[string]Histogram, int) {
-	type pb struct{ proc, blk int }
-	pending := map[pb][]protocol.TraceEvent{}
+	misses := newQueues[rbKey](len(events)) // per (processor, block): miss events awaiting an install
 	var counts = map[string][stats.NumLatencyBuckets]int64{}
 	var totals = map[string]int64{}
-	unmatched := 0
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		switch e.Op {
 		case "miss":
-			k := pb{e.Proc, e.BaseLine}
-			pending[k] = append(pending[k], e)
+			misses.push(rbKey{e.Proc, e.BaseLine}, int32(i))
 		case "install":
-			k := pb{e.Proc, e.BaseLine}
-			q := pending[k]
-			if len(q) == 0 {
+			m := misses.pop(rbKey{e.Proc, e.BaseLine})
+			if m < 0 {
 				continue
-			}
-			m := q[0]
-			if len(q) == 1 {
-				delete(pending, k)
-			} else {
-				pending[k] = q[1:]
 			}
 			kind := "unknown"
 			if e.Typed {
 				kind = e.Grant.String()
 			}
 			c := counts[kind]
-			c[stats.LatencyBucket(e.Time-m.Time)]++
+			c[stats.LatencyBucket(e.Time-events[m].Time)]++
 			counts[kind] = c
 			totals[kind]++
 		}
-	}
-	for _, q := range pending {
-		unmatched += len(q)
 	}
 	hists := map[string]Histogram{}
 	for kind, c := range counts {
 		hists[kind] = trimHistogram(c, totals[kind])
 	}
-	return hists, unmatched
+	return hists, misses.n
 }
 
 // FormatBreakdown renders a snapshot's per-processor breakdown as an aligned
@@ -193,7 +181,7 @@ func FormatBreakdown(s *Snapshot) string {
 // alone: for each processor, the span between its first and last event and
 // the number of events per op. It cannot reproduce the exact cycle
 // attribution of the metrics document (use shastatrace breakdown on a
-// BENCH_*.json for that); it exists so a bare trace still yields a rough
+// METRICS_*.json for that); it exists so a bare trace still yields a rough
 // where-did-time-go view.
 func TraceBreakdown(events []protocol.TraceEvent) string {
 	type span struct {

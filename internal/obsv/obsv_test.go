@@ -67,6 +67,7 @@ func TestReadTraceRejects(t *testing.T) {
 		"wrong schema":  {`{"schema":"other","version":1}` + "\n", `obsv: not a shasta-trace file (schema "other")`},
 		"newer version": {`{"schema":"shasta-trace","version":99}` + "\n", "obsv: trace version 99 is newer than supported version 1"},
 		"bad event":     {`{"schema":"shasta-trace","version":1}` + "\n\nnot json\n", "obsv: line 3: bad trace event: "},
+		"bad processor": {`{"schema":"shasta-trace","version":1}` + "\n" + `{"seq":1,"t":1,"p":-1,"op":"sync","blk":-1}` + "\n", "obsv: line 2: processor -1 outside 0.."},
 	}
 	for name, c := range cases {
 		if _, _, err := obsv.ReadTrace(strings.NewReader(c[0])); err == nil || !strings.HasPrefix(err.Error(), c[1]) {

@@ -25,11 +25,11 @@ import (
 // Two accesses are ordered when a chain of program order and
 // synchronization edges connects them:
 //
-//   - program order: consecutive events of one processor, in seq order
-//     (BuildCausal's PrevOf edges);
+//   - program order: consecutive events of one processor, in seq order;
 //   - sync message order: a send of a LockReq/LockGrant/LockRel/
 //     BarArrive/BarGo message happens before the handle that dispatched
-//     it. Release→acquire ordering composes from these: the releaser's
+//     it (the index's leg table, restricted to those kinds).
+//     Release→acquire ordering composes from these: the releaser's
 //     LockRel reaches the lock home, whose LockGrant reaches the next
 //     holder, all within the home's program order;
 //   - barrier generations: every processor traces a "barrier gen=k" sync
@@ -48,16 +48,15 @@ import (
 // detector flag an unlocked counter even when the invalidation traffic
 // totally ordered the conflicting writes.
 //
-// The sync edges are matched send→handle per message kind. BuildCausal's
-// block-keyed FIFO pairing is right for latency analysis, but sync
-// messages all share block -1, and two concurrent lock messages of the
-// same kind from different requesters can be delivered out of send order
-// (local and remote hops have different latencies). The detector therefore
-// pairs LockReq/LockRel/BarArrive streams per requester — the handle's Req
-// names the sender — and only falls back to plain FIFO
-// for LockGrant/BarGo, where the protocol guarantees at most one message
-// in flight per destination (an acquirer stalls until granted; barrier
-// rounds are serialized by the processor's own arrival).
+// The sync edges come from the same leg table as every other message edge
+// (see BuildCausal). Sync messages all share block -1, and two concurrent
+// lock messages of one kind from different requesters can be delivered out
+// of send order (local and remote hops have different latencies), so the
+// sender identity matters here more than anywhere: LockReq, LockRel and
+// BarArrive handles name their sender in Req and are matched on it;
+// LockGrant and BarGo pair in arrival order, where the protocol guarantees
+// at most one message in flight per destination (an acquirer stalls until
+// granted; barrier rounds are serialized by the processor's own arrival).
 //
 // # Soundness caveats
 //
@@ -82,12 +81,6 @@ import (
 var syncMsgs = map[string]bool{
 	"LockReq": true, "LockGrant": true, "LockRel": true,
 	"BarArrive": true, "BarGo": true,
-}
-
-// syncSenderIsRequester marks the sync kinds whose handle's Req names the
-// sending processor, enabling exact per-sender pairing.
-var syncSenderIsRequester = map[string]bool{
-	"LockReq": true, "LockRel": true, "BarArrive": true,
 }
 
 // AccessSite is one side of a racing pair: a miss event standing in for
@@ -173,14 +166,6 @@ type access struct {
 	kind     string
 }
 
-// syncKey identifies one sync message stream: kind, sending processor
-// (-1 for the kinds matched FIFO per destination) and destination.
-type syncKey struct {
-	msg string
-	src int
-	dst int
-}
-
 // racePair dedups reported races per block and unordered processor pair.
 type racePair struct {
 	blk, lo, hi int
@@ -191,18 +176,16 @@ type blockAccesses struct {
 }
 
 type raceDetector struct {
-	events []protocol.TraceEvent
-	np     int
+	*Causal
 
 	po   []int     // per-processor program-order counter
 	vc   [][]int   // per-processor happens-before frontier (vector clock)
 	evOf [][]int   // per-processor event indices in program order
 	arr  [][]genPo // per-processor barrier arrivals, ascending gen
 
-	sendVC      map[int][]int // sync send event index -> frontier snapshot
-	pendingSync map[syncKey][]int
-	blocks      map[int]*blockAccesses
-	seen        map[racePair]bool
+	sendVC map[int][]int // sync send event index -> frontier snapshot
+	blocks map[int]*blockAccesses
+	seen   map[racePair]bool
 
 	legacyMasks       int
 	orphanSyncSends   int
@@ -216,38 +199,33 @@ type raceDetector struct {
 // clean report — when the trace cannot support sound detection: seq gaps
 // (a filtered or sampled trace) or a non-monotone seq order.
 func DetectRaces(events []protocol.TraceEvent) (*RaceReport, error) {
-	c := BuildCausal(events)
+	return BuildCausal(events).Races()
+}
+
+// Races runs the race-detection pass over the indexed trace.
+func (c *Causal) Races() (*RaceReport, error) {
 	if c.Gapped {
 		return nil, fmt.Errorf("trace has seq gaps (filtered or sampled trace): race detection needs the complete event stream; re-record without filtering or sampling")
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq {
-			return nil, fmt.Errorf("trace seq not strictly increasing at event %d (seq %d after %d): not a valid trace order", i, events[i].Seq, events[i-1].Seq)
-		}
+	if i := c.BadSeq; i >= 0 {
+		return nil, fmt.Errorf("trace seq not strictly increasing at event %d (seq %d after %d): not a valid trace order", i, c.Events[i].Seq, c.Events[i-1].Seq)
 	}
-	np := 0
-	for i := range events {
-		if events[i].Proc+1 > np {
-			np = events[i].Proc + 1
-		}
-	}
+	np := c.NumProcs
 	d := &raceDetector{
-		events:      events,
-		np:          np,
-		po:          make([]int, np),
-		vc:          make([][]int, np),
-		evOf:        make([][]int, np),
-		arr:         make([][]genPo, np),
-		sendVC:      map[int][]int{},
-		pendingSync: map[syncKey][]int{},
-		blocks:      map[int]*blockAccesses{},
-		seen:        map[racePair]bool{},
-		rep:         &RaceReport{Events: len(events)},
+		Causal: c,
+		po:     make([]int, np),
+		vc:     make([][]int, np),
+		evOf:   make([][]int, np),
+		arr:    make([][]genPo, np),
+		sendVC: map[int][]int{},
+		blocks: map[int]*blockAccesses{},
+		seen:   map[racePair]bool{},
+		rep:    &RaceReport{Events: len(c.Events)},
 	}
 	for p := range d.vc {
 		d.vc[p] = make([]int, np)
 	}
-	for i := range events {
+	for i := range c.Events {
 		d.step(i)
 	}
 	d.rep.Blocks = len(d.blocks)
@@ -269,7 +247,7 @@ func DetectRaces(events []protocol.TraceEvent) (*RaceReport, error) {
 // step advances the detector over one event: program order, sync edges,
 // barrier arrivals, and — for misses — the race check.
 func (d *raceDetector) step(i int) {
-	e := &d.events[i]
+	e := &d.Events[i]
 	p := e.Proc
 	d.po[p]++
 	d.evOf[p] = append(d.evOf[p], i)
@@ -284,38 +262,17 @@ func (d *raceDetector) step(i int) {
 			d.orphanSyncSends++
 			return
 		}
-		src := -1
-		if syncSenderIsRequester[e.Msg] {
-			src = p
-		}
-		k := syncKey{e.Msg, src, int(e.Peer)}
-		d.pendingSync[k] = append(d.pendingSync[k], i)
-		snap := make([]int, d.np)
+		snap := make([]int, d.NumProcs)
 		copy(snap, d.vc[p])
 		d.sendVC[i] = snap
 	case "handle":
 		if !syncMsgs[e.Msg] {
 			return
 		}
-		src := -1
-		if syncSenderIsRequester[e.Msg] {
-			if !e.Typed {
-				d.orphanSyncHandles++
-				return
-			}
-			src = int(e.Req)
-		}
-		k := syncKey{e.Msg, src, p}
-		q := d.pendingSync[k]
-		if len(q) == 0 {
+		s := d.SendOf(i)
+		if s < 0 {
 			d.orphanSyncHandles++
 			return
-		}
-		s := q[0]
-		if len(q) == 1 {
-			delete(d.pendingSync, k)
-		} else {
-			d.pendingSync[k] = q[1:]
 		}
 		sv := d.sendVC[s]
 		delete(d.sendVC, s)
@@ -363,13 +320,13 @@ func (d *raceDetector) step(i int) {
 // against the unordered suffix of every other processor's accesses to the
 // same block, then records it.
 func (d *raceDetector) access(i int, kind string, rd, wr uint64) {
-	e := &d.events[i]
+	e := &d.Events[i]
 	p := e.Proc
 	d.rep.Accesses++
 	b := e.BaseLine
 	ba := d.blocks[b]
 	if ba == nil {
-		ba = &blockAccesses{perProc: make([][]access, d.np)}
+		ba = &blockAccesses{perProc: make([][]access, d.NumProcs)}
 		d.blocks[b] = ba
 	}
 	a := access{po: d.po[p], eventIdx: i, rd: rd, wr: wr, kind: kind}
@@ -379,11 +336,11 @@ func (d *raceDetector) access(i int, kind string, rd, wr uint64) {
 	if n := len(d.arr[p]); n > 0 {
 		barK = d.arr[p][n-1].gen
 	}
-	for q := 0; q < d.np; q++ {
+	for q := 0; q < d.NumProcs; q++ {
 		if q == p || len(ba.perProc[q]) == 0 {
 			continue
 		}
-		pair := racePair{b, minInt(p, q), maxInt(p, q)}
+		pair := racePair{b, min(p, q), max(p, q)}
 		if d.seen[pair] {
 			continue
 		}
@@ -436,8 +393,8 @@ func (d *raceDetector) barBound(q, barK int) int {
 // record captures one race: first access by q (earlier in the trace),
 // second the current miss event, witness derived from the ordered bound.
 func (d *raceDetector) record(b int, overlap uint64, q int, first *access, bound, secondIdx int, kind string, rd, wr uint64) {
-	fe := &d.events[first.eventIdx]
-	se := &d.events[secondIdx]
+	fe := &d.Events[first.eventIdx]
+	se := &d.Events[secondIdx]
 	r := Race{
 		Block:   b,
 		Overlap: overlap,
@@ -447,7 +404,7 @@ func (d *raceDetector) record(b int, overlap uint64, q int, first *access, bound
 			Kind: kind, RdMask: rd, WrMask: wr},
 	}
 	if bound > 0 {
-		we := &d.events[d.evOf[q][bound-1]]
+		we := &d.Events[d.evOf[q][bound-1]]
 		r.Witness = RaceWitness{Ok: true, Seq: we.Seq, Time: we.Time,
 			Op: we.Op, Msg: we.Msg, Prim: SyncPrim(we),
 			After: first.po - bound}
@@ -498,18 +455,4 @@ func (r *RaceReport) Format() string {
 		}
 	}
 	return b.String()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/memchan"
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // This file reconstructs per-request spans from a trace: one span per
@@ -67,7 +67,7 @@ type SpanSet struct {
 	Spans []Span
 	// Dropped counts incomplete reconstructions by reason; such requests
 	// are reported, never silently omitted or mis-attributed.
-	Dropped map[string]int
+	Dropped Dropped
 	// Gapped reports seq gaps in the trace (filtered or sampled), the
 	// usual cause of dropped spans.
 	Gapped bool
@@ -79,12 +79,31 @@ type SpanSet struct {
 }
 
 // DroppedTotal sums the drop counts.
-func (ss *SpanSet) DroppedTotal() int {
+func (ss *SpanSet) DroppedTotal() int { return ss.Dropped.Total() }
+
+// Dropped counts what an analyser could not reconstruct, by reason.
+type Dropped map[string]int
+
+// Total sums the drop counts.
+func (d Dropped) Total() int {
 	n := 0
-	for _, c := range ss.Dropped {
+	for _, c := range d {
 		n += c
 	}
 	return n
+}
+
+// format renders the "dropped: N (reason n, ...)" line of a report.
+func (d Dropped) format(b *strings.Builder) {
+	if len(d) == 0 {
+		b.WriteString("dropped: 0\n")
+		return
+	}
+	parts := make([]string, 0, len(d))
+	for _, r := range stats.SortedKeys(d) {
+		parts = append(parts, fmt.Sprintf("%s %d", r, d[r]))
+	}
+	fmt.Fprintf(b, "dropped: %d (%s)\n", d.Total(), strings.Join(parts, ", "))
 }
 
 // legRole classifies a message leg within a span.
@@ -123,18 +142,6 @@ func reqKindName(msg string) string {
 	return "unknown"
 }
 
-// spanLeg is one in-flight message of a span, created at its send (or xmit)
-// event and resolved at the matching handle.
-type spanLeg struct {
-	role     legRole
-	sendTime int64
-	sendProc int
-	req      int // requester, -1 until known
-	hasXmit  bool
-	x        memchan.SendInfo
-	b        *spanBuilder // owning span, nil until known (xmit-less forwards)
-}
-
 // spanBuilder accumulates one request's checkpoints during the trace walk.
 type spanBuilder struct {
 	req, blk    int
@@ -144,7 +151,7 @@ type spanBuilder struct {
 	hasMiss     bool
 	home, owner int
 
-	reqLeg, fwdLeg, replyLeg *spanLeg
+	reqLeg, fwdLeg, replyLeg int32 // rows of Causal.Legs, -1 = none
 
 	homeHandle, homeRequeue   int64 // 0 = unset (virtual time > 0 for all protocol events)
 	ownerHandle, ownerRequeue int64
@@ -169,217 +176,82 @@ type spanBuilder struct {
 // upgrade is only issued after the read installs).
 type rbKey struct{ req, blk int }
 
-// pbKey identifies a processor/block pair for miss anchoring.
-type pbKey struct{ proc, blk int }
+// spanWalk is the state of one span reconstruction over an indexed trace.
+type spanWalk struct {
+	c      *Causal
+	ss     *SpanSet
+	active map[rbKey]*spanBuilder
+	// misses queues each (processor, block)'s miss events awaiting the
+	// request that anchors on them; rbKey.req is the missing processor.
+	misses *queues[rbKey]
+	// owner is each leg's span, nil until known (xmit-less forwards learn
+	// it at their handle).
+	owner []*spanBuilder
+	// cps is roundCheckpoints' result buffer, reused from call to call.
+	cps []checkpoint
+}
 
 // BuildSpans reconstructs the request spans of a trace. The events must be
-// in trace (seq) order. The walk mirrors BuildCausal's FIFO send/handle
-// matching, extended with the xmit timing decomposition and the protocol's
-// request lifecycle; it never fails — requests whose evidence is incomplete
-// or inconsistent (gapped traces) are counted in Dropped with a reason.
-func BuildSpans(events []protocol.TraceEvent) *SpanSet {
-	ss := &SpanSet{Dropped: map[string]int{}}
-	var lastSeq uint64
-	active := map[rbKey]*spanBuilder{}
-	pendingMiss := map[pbKey][]protocol.TraceEvent{}
-	fifo := map[sendKey][]*spanLeg{}
-	lastLeg := map[int]*spanLeg{} // per-proc send awaiting its xmit
+// in trace (seq) order.
+func BuildSpans(events []protocol.TraceEvent) *SpanSet { return BuildCausal(events).Spans() }
+
+// Spans reconstructs the request spans of the indexed trace: the leg table
+// says which send, xmit and handle belong to one message, and the walk adds
+// the protocol's request lifecycle and the xmit timing decomposition. It
+// never fails — requests whose evidence is incomplete or inconsistent
+// (gapped traces) are counted in Dropped with a reason.
+func (c *Causal) Spans() *SpanSet {
+	ss := &SpanSet{Dropped: Dropped{}, Gapped: c.Gapped}
+	w := &spanWalk{c: c, ss: ss, active: map[rbKey]*spanBuilder{},
+		misses: newQueues[rbKey](len(c.Events)), owner: make([]*spanBuilder, len(c.Legs))}
 	unparsed := 0
-
-	drop := func(reason string) { ss.Dropped[reason]++ }
-
-	// finish closes a span at an install event, partitions its stages and
-	// appends it (or drops it with a reason).
-	finish := func(b *spanBuilder, install protocol.TraceEvent) {
-		sp, reason := b.finalize(install)
-		if reason != "" {
-			drop(reason)
-			return
-		}
-		ss.Spans = append(ss.Spans, sp)
-	}
-
-	for i, e := range events {
-		if i > 0 && e.Seq != lastSeq+1 {
-			ss.Gapped = true
-		}
-		lastSeq = e.Seq
-
-		role, isLeg := spanLegKind(e.Msg)
-
+	for i := range c.Events {
+		e := &c.Events[i]
 		switch e.Op {
 		case "miss":
-			k := pbKey{e.Proc, e.BaseLine}
-			pendingMiss[k] = append(pendingMiss[k], e)
-
-		case "send":
-			if !isLeg {
-				continue
-			}
-			if !e.Typed {
-				unparsed++
-				continue
-			}
-			dst := int(e.Peer)
-			leg := &spanLeg{role: role, sendTime: e.Time, sendProc: e.Proc, req: -1}
-			switch role {
-			case legReq:
-				leg.req = e.Proc // requests are sent by their requester
-			case legReply:
-				leg.req = dst // replies travel to their requester
-			}
-			attachLeg(leg, e, active, pendingMiss, ss)
-			fifo[sendKey{e.Msg, e.BaseLine, dst}] = append(fifo[sendKey{e.Msg, e.BaseLine, dst}], leg)
-			lastLeg[e.Proc] = leg
-
-		case "xmit":
-			if !e.Typed {
-				unparsed++
-				continue
-			}
-			x, xreq := e.Xmit, int(e.Req)
-			if leg := lastLeg[e.Proc]; leg != nil && !leg.hasXmit && leg.sendTime == e.Time {
-				// The usual case: the xmit annotates the send just
-				// emitted by this processor.
-				leg.hasXmit, leg.x = true, x
-				if leg.req < 0 {
-					leg.req = xreq
-					attachLegX(leg, e, active, ss)
-				}
-				delete(lastLeg, e.Proc)
-				continue
-			}
-			// The send was sampled out: reconstruct the leg from the
-			// xmit alone (it carries destination, requester and timing).
-			if !isLeg {
-				continue
-			}
-			leg := &spanLeg{role: role, sendTime: e.Time, sendProc: e.Proc,
-				req: xreq, hasXmit: true, x: x}
-			attachLegX(leg, e, active, ss)
-			k := sendKey{e.Msg, e.BaseLine, int(e.Peer)}
-			fifo[k] = append(fifo[k], leg)
-
-		case "handle":
-			if !isLeg {
-				continue
-			}
-			// Match the handled message to its sent leg. Legs of one
-			// (kind, block, destination) key are not a true FIFO: hot
-			// blocks draw concurrent requests from many requesters whose
-			// messages the interconnect may deliver out of order, and a
-			// requeued request re-dispatches with no send event at all —
-			// so the match is by the requester the handle names, falling
-			// back to positional order only when the trace lacks it.
-			k := sendKey{e.Msg, e.BaseLine, e.Proc}
-			q := fifo[k]
-			r, hasR := int(e.Req), e.Typed
-			if role == legReply {
-				// Replies do not carry a requester field; their
-				// destination — this processor — is the requester.
-				r, hasR = e.Proc, true
-			}
-			pick := -1
-			if hasR {
-				for li, leg := range q {
-					if leg.req == r {
-						pick = li
-						break
-					}
-				}
-			}
-			if pick < 0 {
-				for li, leg := range q {
-					if leg.req < 0 {
-						pick = li
-						break
-					}
-				}
-			}
-			if pick < 0 && !hasR && len(q) > 0 {
-				pick = 0
-			}
-			if pick >= 0 {
-				leg := q[pick]
-				if len(q) == 1 {
-					delete(fifo, k)
-				} else {
-					fifo[k] = append(q[:pick:pick], q[pick+1:]...)
-				}
-				resolveLeg(leg, role, e, active, ss)
-				continue
-			}
-			// No visible send for this message: a requeued request or
-			// forward re-dispatching after its block unblocked, the
-			// direct path (home within the requester's group injects the
-			// request without a send event), or a sampled-out send.
-			if !hasR {
-				unparsed++
-				continue
-			}
-			b := active[rbKey{r, e.BaseLine}]
-			switch {
-			case role == legReq && b != nil && b.homeHandle != 0:
-				if b.replyHandle != 0 && b.foldRetry(e.Time) {
-					// A handled reply followed by a fresh request handle
-					// with no send in between is the direct path's retry:
-					// fold the superseded round and start the next one
-					// at this dispatch.
-					popMiss(pendingMiss, pbKey{r, e.BaseLine})
-					b.homeHandle, b.home = e.Time, e.Proc
-				} else if b.ownerHandle != 0 {
-					b.ownerRequeue = e.Time
-				} else {
-					b.homeRequeue = e.Time
-					if e.Proc != b.home {
-						// Re-dispatched at a different processor than the
-						// home that first handled it: the block's home
-						// migrated and a tombstone forwarded the request.
-						b.rehomed, b.home = true, e.Proc
-					}
-				}
-			case role == legReq:
-				// Direct path: open a span anchored at the miss (or here).
-				b = &spanBuilder{req: r, blk: e.BaseLine, kind: reqKindName(e.Msg),
-					seq: e.Seq, start: e.Time, home: e.Proc, owner: -1, homeHandle: e.Time}
-				if mq := pendingMiss[pbKey{r, e.BaseLine}]; len(mq) > 0 {
-					b.hasMiss, b.start, b.seq = true, mq[0].Time, mq[0].Seq
-					popMiss(pendingMiss, pbKey{r, e.BaseLine})
-				}
-				replaceActive(active, b, ss, drop)
-			case role == legFwd && b != nil:
-				if b.ownerHandle == 0 {
-					b.ownerHandle, b.owner = e.Time, e.Proc
-				} else {
-					b.ownerRequeue = e.Time
-				}
-			case role == legReply && b != nil:
-				if b.replyLeg == nil && b.replyHandle == 0 {
-					b.replyHandle = e.Time
-				}
-			default:
-				if !ss.Gapped {
-					ss.Warnings = append(ss.Warnings,
-						fmt.Sprintf("handle without visible send or span: seq=%d %s blk%d at p%d",
-							e.Seq, e.Msg, e.BaseLine, e.Proc))
-				}
-			}
-
+			w.misses.push(rbKey{e.Proc, e.BaseLine}, int32(i))
 		case "install":
-			b := active[rbKey{e.Proc, e.BaseLine}]
+			k := rbKey{e.Proc, e.BaseLine}
+			b := w.active[k]
 			if b == nil {
 				continue
 			}
-			delete(active, rbKey{e.Proc, e.BaseLine})
-			finish(b, e)
+			delete(w.active, k)
+			if sp, reason := w.finalize(b, e); reason != "" {
+				ss.Dropped[reason]++
+			} else {
+				ss.Spans = append(ss.Spans, sp)
+			}
+		case "send", "xmit", "handle":
+			role, isLeg := spanLegKind(e.Msg)
+			if !isLeg {
+				continue
+			}
+			switch l := c.LegOf[i]; {
+			case e.Op == "handle" && l >= 0:
+				w.resolveLeg(l, role, e)
+			case e.Op == "handle":
+				if r := requesterAt(e); r >= 0 {
+					w.unsentHandle(int(r), role, e)
+				} else {
+					unparsed++
+				}
+			case l < 0:
+				unparsed++
+			case e.Op == "send":
+				w.attachLeg(l, role, e)
+			case role == legFwd || c.Legs[l].Send < 0:
+				// The xmit is the first event to name this leg's
+				// requester: a forward's, or a leg whose send was sampled
+				// out.
+				w.attachLegX(l, role, e.BaseLine)
+			}
 		}
 	}
 
-	for _, q := range pendingMiss {
-		ss.UnissuedMisses += len(q)
-	}
-	for range active {
-		drop("incomplete")
+	ss.UnissuedMisses = w.misses.n
+	if len(w.active) > 0 {
+		ss.Dropped["incomplete"] += len(w.active)
 	}
 	if unparsed > 0 {
 		ss.Warnings = append(ss.Warnings,
@@ -392,38 +264,84 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 	return ss
 }
 
-// popMiss removes the head of a pending-miss queue, if any.
-func popMiss(pendingMiss map[pbKey][]protocol.TraceEvent, k pbKey) {
-	switch q := pendingMiss[k]; len(q) {
-	case 0:
-	case 1:
-		delete(pendingMiss, k)
+// unsentHandle applies a handle with no visible send to requester r's span:
+// a requeued request or forward re-dispatching after its block unblocked,
+// the direct path (home within the requester's group injects the request
+// without a send event), or a sampled-out send.
+func (w *spanWalk) unsentHandle(r int, role legRole, e *protocol.TraceEvent) {
+	k := rbKey{r, e.BaseLine}
+	b := w.active[k]
+	switch {
+	case role == legReq && b != nil && b.homeHandle != 0:
+		if b.replyHandle != 0 && w.foldRetry(b, e.Time) {
+			// A handled reply followed by a fresh request handle
+			// with no send in between is the direct path's retry:
+			// fold the superseded round and start the next one
+			// at this dispatch.
+			w.misses.pop(k)
+			b.homeHandle, b.home = e.Time, e.Proc
+		} else if b.ownerHandle != 0 {
+			b.ownerRequeue = e.Time
+		} else {
+			b.homeRequeue = e.Time
+			if e.Proc != b.home {
+				// Re-dispatched at a different processor than the
+				// home that first handled it: the block's home
+				// migrated and a tombstone forwarded the request.
+				b.rehomed, b.home = true, e.Proc
+			}
+		}
+	case role == legReq:
+		// Direct path: open a span anchored at the miss (or here).
+		b = w.open(k, e)
+		b.home, b.homeHandle = e.Proc, e.Time
+	case role == legFwd && b != nil:
+		if b.ownerHandle == 0 {
+			b.ownerHandle, b.owner = e.Time, e.Proc
+		} else {
+			b.ownerRequeue = e.Time
+		}
+	case role == legReply && b != nil:
+		if b.replyLeg < 0 && b.replyHandle == 0 {
+			b.replyHandle = e.Time
+		}
 	default:
-		pendingMiss[k] = q[1:]
+		if !w.ss.Gapped {
+			w.ss.Warnings = append(w.ss.Warnings,
+				fmt.Sprintf("handle without visible send or span: seq=%d %s blk%d at p%d",
+					e.Seq, e.Msg, e.BaseLine, e.Proc))
+		}
 	}
 }
 
-// replaceActive registers a new span builder, dropping any span still active
-// for the same (requester, block) — evidence of a gapped trace where the
-// earlier request's install was sampled out.
-func replaceActive(active map[rbKey]*spanBuilder, b *spanBuilder, ss *SpanSet, drop func(string)) {
-	k := rbKey{b.req, b.blk}
-	if active[k] != nil {
-		drop("superseded")
+// open registers a new span for k's request, seen first at event e (its send,
+// or its dispatch on the direct path) and anchored at the requester's miss
+// event when one is waiting. A span still active for the same (requester,
+// block) is dropped — evidence of a gapped trace where the earlier request's
+// install was sampled out.
+func (w *spanWalk) open(k rbKey, e *protocol.TraceEvent) *spanBuilder {
+	b := &spanBuilder{req: k.req, blk: k.blk, kind: reqKindName(e.Msg),
+		seq: e.Seq, start: e.Time, owner: -1, reqLeg: -1, fwdLeg: -1, replyLeg: -1}
+	if m := w.misses.pop(k); m >= 0 {
+		b.hasMiss, b.start, b.seq = true, w.c.Events[m].Time, w.c.Events[m].Seq
 	}
-	active[k] = b
+	if w.active[k] != nil {
+		w.ss.Dropped["superseded"]++
+	}
+	w.active[k] = b
+	return b
 }
 
 // attachLeg connects a freshly sent leg to its span: request legs open a new
-// span (anchored at the requester's miss event when visible), reply legs
-// attach to the active span of their destination requester. Forward legs
-// without an xmit stay unattached until their handle names the requester.
-func attachLeg(leg *spanLeg, e protocol.TraceEvent, active map[rbKey]*spanBuilder,
-	pendingMiss map[pbKey][]protocol.TraceEvent, ss *SpanSet) {
-	switch leg.role {
+// span, reply legs attach to the active span of their destination requester.
+// Forward legs stay unattached until their xmit or handle names the
+// requester.
+func (w *spanWalk) attachLeg(l int32, role legRole, e *protocol.TraceEvent) {
+	k := rbKey{int(w.c.Legs[l].Req), e.BaseLine}
+	switch role {
 	case legReq:
-		if old := active[rbKey{leg.req, e.BaseLine}]; old != nil &&
-			(!ss.Gapped || old.replyHandle != 0) && old.foldRetry(e.Time) {
+		b := w.active[k]
+		if b != nil && (!w.ss.Gapped || b.replyHandle != 0) && w.foldRetry(b, e.Time) {
 			// A retry round: the active request's reply was superseded by
 			// a concurrent invalidation (its install never came), and the
 			// requester re-issued — a fresh miss event and this new send.
@@ -433,71 +351,47 @@ func attachLeg(leg *spanLeg, e protocol.TraceEvent, active map[rbKey]*spanBuilde
 			// traces folding requires the old round's handled reply as
 			// evidence, else a sampled-out install would silently merge
 			// two independent requests.
-			popMiss(pendingMiss, pbKey{leg.req, e.BaseLine})
-			old.reqLeg = leg
-			leg.b = old
-			return
+			w.misses.pop(k)
+		} else {
+			b = w.open(k, e)
 		}
-		b := &spanBuilder{req: leg.req, blk: e.BaseLine, kind: reqKindName(e.Msg),
-			seq: e.Seq, start: e.Time, owner: -1, reqLeg: leg}
-		if mq := pendingMiss[pbKey{leg.req, e.BaseLine}]; len(mq) > 0 {
-			b.hasMiss, b.start, b.seq = true, mq[0].Time, mq[0].Seq
-			popMiss(pendingMiss, pbKey{leg.req, e.BaseLine})
-		}
-		replaceActive(active, b, ss, func(r string) { ss.Dropped[r]++ })
-		leg.b = b
+		b.reqLeg, w.owner[l] = l, b
 	case legReply:
-		if b := active[rbKey{leg.req, e.BaseLine}]; b != nil {
+		if b := w.active[k]; b != nil {
 			// Keep the latest reply: a superseded reply (stale directory
 			// sequence) never installs and is overtaken by a newer one.
-			b.replyLeg = leg
-			leg.b = b
+			b.replyLeg, w.owner[l] = l, b
 		}
 	}
 }
 
-// attachLegX attaches a leg whose requester only became known from its xmit
-// event (forwards, whose send event does not carry the requester).
-func attachLegX(leg *spanLeg, e protocol.TraceEvent, active map[rbKey]*spanBuilder, ss *SpanSet) {
-	if leg.b != nil || leg.req < 0 {
+// attachLegX attaches a leg whose requester is known (from its xmit, or by
+// its handle) to that requester's active span, if it has none yet.
+func (w *spanWalk) attachLegX(l int32, role legRole, blk int) {
+	if w.owner[l] != nil || w.c.Legs[l].Req < 0 {
 		return
 	}
-	b := active[rbKey{leg.req, e.BaseLine}]
+	b := w.active[rbKey{int(w.c.Legs[l].Req), blk}]
 	if b == nil {
 		return
 	}
-	leg.b = b
-	if leg.role == legFwd {
-		b.fwdLeg = leg
-	} else if leg.role == legReply && b.replyLeg == nil {
-		b.replyLeg = leg
+	w.owner[l] = b
+	if role == legFwd {
+		b.fwdLeg = l
+	} else if role == legReply && b.replyLeg < 0 {
+		b.replyLeg = l
 	}
 }
 
 // resolveLeg applies a handled leg's checkpoint to its span. Legs that never
-// found a span (gapped traces) resolve it here from the handle's requester.
-func resolveLeg(leg *spanLeg, role legRole, e protocol.TraceEvent,
-	active map[rbKey]*spanBuilder, ss *SpanSet) {
-	if leg.b == nil {
-		r := leg.req
-		if r < 0 && e.Typed {
-			r = int(e.Req)
-		}
-		if r >= 0 {
-			if b := active[rbKey{r, e.BaseLine}]; b != nil {
-				leg.req, leg.b = r, b
-				if role == legFwd {
-					b.fwdLeg = leg
-				} else if role == legReply && b.replyLeg == nil {
-					b.replyLeg = leg
-				}
-			}
-		}
-		if leg.b == nil {
-			return
-		}
+// found a span (gapped traces, xmit-less forwards) look it up here, now that
+// the handle has named the requester.
+func (w *spanWalk) resolveLeg(l int32, role legRole, e *protocol.TraceEvent) {
+	w.attachLegX(l, role, e.BaseLine)
+	b := w.owner[l]
+	if b == nil {
+		return
 	}
-	b := leg.b
 	switch role {
 	case legReq:
 		if b.homeHandle == 0 {
@@ -516,7 +410,7 @@ func resolveLeg(leg *spanLeg, role legRole, e protocol.TraceEvent,
 			b.ownerRequeue = e.Time
 		}
 	case legReply:
-		if leg == b.replyLeg {
+		if l == b.replyLeg {
 			b.replyHandle = e.Time
 		}
 	}
@@ -528,28 +422,43 @@ type checkpoint struct {
 	t    int64
 }
 
+// transitStages names the stages one leg's flight is cut into.
+type transitStages struct{ queue, wire, inbox, flight string }
+
+var (
+	reqTransit   = transitStages{"req-queue", "req-wire", "home-inbox", "req-flight"}
+	fwdTransit   = transitStages{"fwd-queue", "fwd-wire", "owner-inbox", "fwd-flight"}
+	replyTransit = transitStages{"reply-queue", "reply-wire", "reply-inbox", "reply-flight"}
+)
+
 // roundCheckpoints builds the current round's ordered checkpoint chain
-// from whatever evidence the round has.
-func (b *spanBuilder) roundCheckpoints() []checkpoint {
-	var cps []checkpoint
+// from whatever evidence the round has. The result is valid until the next
+// call.
+func (w *spanWalk) roundCheckpoints(b *spanBuilder) []checkpoint {
+	c, cps := w.c, w.cps[:0]
 	add := func(name string, t int64) {
 		if t != 0 {
 			cps = append(cps, checkpoint{name, t})
 		}
 	}
+	// transit cuts one leg's flight up to its handle: link queue, wire and
+	// inbox when the leg has an xmit, one compound flight stage otherwise.
+	transit := func(l int32, n *transitStages, handled int64) {
+		if x := c.Legs[l].Xmit; x >= 0 {
+			add(n.queue, c.Events[x].Time+c.Events[x].Xmit.Queue)
+			add(n.wire, c.Events[x].Xmit.Arrival)
+			add(n.inbox, handled)
+		} else {
+			add(n.flight, handled)
+		}
+	}
 
 	// Request leg: issue, link queue, wire, home inbox.
-	if b.reqLeg != nil {
+	if b.reqLeg >= 0 {
 		if b.hasMiss {
-			add("issue", b.reqLeg.sendTime)
+			add("issue", c.legSent(b.reqLeg))
 		}
-		if b.reqLeg.hasXmit {
-			add("req-queue", b.reqLeg.sendTime+b.reqLeg.x.Queue)
-			add("req-wire", b.reqLeg.x.Arrival)
-			add("home-inbox", b.homeHandle)
-		} else {
-			add("req-flight", b.homeHandle)
-		}
+		transit(b.reqLeg, &reqTransit, b.homeHandle)
 	} else if b.hasMiss && b.homeHandle != 0 {
 		// Direct path: no message, the handler ran in the requester's
 		// own group; miss-to-dispatch is all issue work.
@@ -567,15 +476,9 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 	}
 
 	// Forward leg (three-hop requests only).
-	if b.fwdLeg != nil {
-		add("home-serve", b.fwdLeg.sendTime)
-		if b.fwdLeg.hasXmit {
-			add("fwd-queue", b.fwdLeg.sendTime+b.fwdLeg.x.Queue)
-			add("fwd-wire", b.fwdLeg.x.Arrival)
-			add("owner-inbox", b.ownerHandle)
-		} else {
-			add("fwd-flight", b.ownerHandle)
-		}
+	if b.fwdLeg >= 0 {
+		add("home-serve", c.legSent(b.fwdLeg))
+		transit(b.fwdLeg, &fwdTransit, b.ownerHandle)
 	} else if b.ownerHandle != 0 {
 		// The forward's send was sampled out but its handle survived.
 		add("fwd-flight", b.ownerHandle)
@@ -587,25 +490,29 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 	if b.ownerHandle != 0 {
 		serve = "owner-serve"
 	}
-	if b.replyLeg != nil {
-		add(serve, b.replyLeg.sendTime)
-		if b.replyLeg.hasXmit {
-			add("reply-queue", b.replyLeg.sendTime+b.replyLeg.x.Queue)
-			add("reply-wire", b.replyLeg.x.Arrival)
-			add("reply-inbox", b.replyHandle)
-		} else {
-			add("reply-flight", b.replyHandle)
-		}
+	if b.replyLeg >= 0 {
+		add(serve, c.legSent(b.replyLeg))
+		transit(b.replyLeg, &replyTransit, b.replyHandle)
 	} else {
 		add("reply-flight", b.replyHandle)
 	}
+	w.cps = cps
 	return cps
 }
 
+// legSent is the virtual time leg l left its sender: its send event's, or
+// its xmit's when the send was sampled out (the two coincide).
+func (c *Causal) legSent(l int32) int64 {
+	if s := c.Legs[l].Send; s >= 0 {
+		return c.Events[s].Time
+	}
+	return c.Events[c.Legs[l].Xmit].Time
+}
+
 // roundUplink reports whether any of the round's legs crossed an uplink.
-func (b *spanBuilder) roundUplink() bool {
-	for _, leg := range []*spanLeg{b.reqLeg, b.fwdLeg, b.replyLeg} {
-		if leg != nil && leg.hasXmit && leg.x.Uplink {
+func (b *spanBuilder) roundUplink(c *Causal) bool {
+	for _, l := range [...]int32{b.reqLeg, b.fwdLeg, b.replyLeg} {
+		if l >= 0 && c.Legs[l].Xmit >= 0 && c.Events[c.Legs[l].Xmit].Xmit.Uplink {
 			return true
 		}
 	}
@@ -654,8 +561,8 @@ func cutStages(dst []SpanStage, cps []checkpoint, from, cap int64) ([]SpanStage,
 // re-issue) are folded into the prefix, and the round state resets for the
 // new request. Reports false on a non-monotone round (gapped evidence);
 // the caller drops the span.
-func (b *spanBuilder) foldRetry(sendTime int64) bool {
-	prefix, last, ok := cutStages(b.prefix, b.roundCheckpoints(), b.roundStart(), sendTime)
+func (w *spanWalk) foldRetry(b *spanBuilder, sendTime int64) bool {
+	prefix, last, ok := cutStages(b.prefix, w.roundCheckpoints(b), b.roundStart(), sendTime)
 	if !ok {
 		return false
 	}
@@ -664,8 +571,8 @@ func (b *spanBuilder) foldRetry(sendTime int64) bool {
 	}
 	b.prefix, b.prefixEnd = prefix, sendTime
 	b.retries++
-	b.uplink = b.uplink || b.roundUplink()
-	b.reqLeg, b.fwdLeg, b.replyLeg = nil, nil, nil
+	b.uplink = b.uplink || b.roundUplink(w.c)
+	b.reqLeg, b.fwdLeg, b.replyLeg = -1, -1, -1
 	b.homeHandle, b.homeRequeue = 0, 0
 	b.ownerHandle, b.ownerRequeue = 0, 0
 	b.replyHandle = 0
@@ -677,13 +584,14 @@ func (b *spanBuilder) foldRetry(sendTime int64) bool {
 // prefix (if any) followed by the final round's checkpoint chain. The
 // partition telescopes, so a complete span's stages sum exactly to its
 // end-to-end latency.
-func (b *spanBuilder) finalize(install protocol.TraceEvent) (Span, string) {
+func (w *spanWalk) finalize(b *spanBuilder, install *protocol.TraceEvent) (Span, string) {
 	sp := Span{Requester: b.req, Home: b.home, Owner: b.owner, Block: b.blk,
 		Kind: b.kind, Start: b.start, End: install.Time, Seq: b.seq,
 		Retries: b.retries}
 
-	stages := append([]SpanStage(nil), b.prefix...)
-	stages, last, ok := cutStages(stages, b.roundCheckpoints(), b.roundStart(), install.Time)
+	cps := w.roundCheckpoints(b)
+	stages := append(make([]SpanStage, 0, len(b.prefix)+len(cps)+1), b.prefix...)
+	stages, last, ok := cutStages(stages, cps, b.roundStart(), install.Time)
 	if !ok {
 		return Span{}, "non-monotone"
 	}
@@ -696,13 +604,13 @@ func (b *spanBuilder) finalize(install protocol.TraceEvent) (Span, string) {
 
 	// Hops: prefer the install event's own classification.
 	sp.Hops = 2
-	if b.ownerHandle != 0 || b.fwdLeg != nil {
+	if b.ownerHandle != 0 || b.fwdLeg >= 0 {
 		sp.Hops = 3
 	}
 	if install.Typed && install.Grant != protocol.GrantUpgrade {
 		sp.Hops = int(install.Hops)
 	}
-	sp.Uplink = b.uplink || b.roundUplink()
+	sp.Uplink = b.uplink || b.roundUplink(w.c)
 	return sp, ""
 }
 
@@ -745,8 +653,9 @@ func stageFamily(name string) string {
 // phaseFamilies fixes the column order of the phases table.
 var phaseFamilies = []string{"issue", "queue", "wire", "flight", "inbox", "requeue", "serve", "retry", "install"}
 
-// pctiles computes exact nearest-rank percentiles over a sorted slice.
-func pctile(sorted []int64, q float64) int64 {
+// Percentile is the exact nearest-rank q-th percentile (0 < q <= 1) of a
+// sorted slice, 0 for an empty one.
+func Percentile(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -772,8 +681,8 @@ func tailLine(b *strings.Builder, label string, totals []int64) {
 		mean = sum / int64(len(totals))
 	}
 	fmt.Fprintf(b, "  %-22s %8d %10d %10d %10d %10d %10d %10d\n",
-		label, len(totals), mean, pctile(totals, 0.50), pctile(totals, 0.90),
-		pctile(totals, 0.99), pctile(totals, 0.999), pctile(totals, 1.0))
+		label, len(totals), mean, Percentile(totals, 0.50), Percentile(totals, 0.90),
+		Percentile(totals, 0.99), Percentile(totals, 0.999), Percentile(totals, 1.0))
 }
 
 // groupTotals collects span totals keyed by a classifier.
@@ -826,20 +735,7 @@ func (s *Span) route() string {
 func FormatSpans(ss *SpanSet, topK int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "spans: %d complete\n", len(ss.Spans))
-	reasons := make([]string, 0, len(ss.Dropped))
-	for r := range ss.Dropped {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, ss.Dropped[r])
-	}
-	if len(parts) > 0 {
-		fmt.Fprintf(&b, "dropped: %d (%s)\n", ss.DroppedTotal(), strings.Join(parts, ", "))
-	} else {
-		fmt.Fprintf(&b, "dropped: 0\n")
-	}
+	ss.Dropped.format(&b)
 	if ss.UnissuedMisses > 0 {
 		fmt.Fprintf(&b, "misses without visible request: %d\n", ss.UnissuedMisses)
 	}
@@ -912,13 +808,13 @@ func FormatSpans(ss *SpanSet, topK int) string {
 			share = 100 * float64(a.total) / float64(grand)
 		}
 		fmt.Fprintf(&b, "  %-22s %8d %12d %6.1f%% %10d %10d\n",
-			name, a.count, a.total, share, a.total/int64(a.count), pctile(a.durs, 0.99))
+			name, a.count, a.total, share, a.total/int64(a.count), Percentile(a.durs, 0.99))
 	}
 
 	// Tail composition: where do the slowest 1% spend their cycles?
 	sorted := append([]int64(nil), all...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	p99 := pctile(sorted, 0.99)
+	p99 := Percentile(sorted, 0.99)
 	tailStages := map[string]int64{}
 	var tailGrand int64
 	tailN := 0
@@ -1052,7 +948,7 @@ func FormatPhases(ss *SpanSet, windows int) string {
 			continue
 		}
 		sort.Slice(wins[w].totals, func(i, j int) bool { return wins[w].totals[i] < wins[w].totals[j] })
-		fmt.Fprintf(&b, " %10d", pctile(wins[w].totals, 0.99))
+		fmt.Fprintf(&b, " %10d", Percentile(wins[w].totals, 0.99))
 		for _, f := range phaseFamilies {
 			fmt.Fprintf(&b, " %10d", wins[w].fams[f])
 		}

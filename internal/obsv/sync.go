@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,12 +24,12 @@ import (
 //
 // Lifecycles are matched per (processor, lock): a processor's operations on
 // one lock are program-ordered, so within that key the streams pair FIFO —
-// the same requester-keyed discipline the race detector uses for lock
-// messages. Gapped or sampled traces degrade: unmatched halves are counted
-// in Dropped by reason and the rest of the analysis proceeds; BuildSync
-// never fails and never panics. Traces from before this extension have no
-// "lock-acquired"/"barrier-depart" events; their acquires and arrivals are
-// all dropped as unmatched, which is reported, not guessed at.
+// the same requester-keyed discipline the trace index (BuildCausal) applies
+// to lock messages. Gapped or sampled traces degrade: unmatched halves are
+// counted in Dropped by reason and the rest of the analysis proceeds;
+// BuildSync never fails and never panics. Traces from before this extension
+// have no "lock-acquired"/"barrier-depart" events; their acquires and
+// arrivals are all dropped as unmatched, which is reported, not guessed at.
 
 // LockAcq is one reconstructed lock-acquire lifecycle.
 type LockAcq struct {
@@ -123,7 +124,7 @@ type SyncSet struct {
 	// Dropped counts lifecycle halves the trace evidence could not match,
 	// by reason; gapped and pre-extension traces degrade here rather than
 	// failing.
-	Dropped map[string]int
+	Dropped Dropped
 	// Gapped reports seq gaps (a filtered or sampled trace).
 	Gapped bool
 	// Warnings lists non-fatal anomalies.
@@ -133,29 +134,13 @@ type SyncSet struct {
 }
 
 // DroppedTotal sums the drop counts.
-func (ss *SyncSet) DroppedTotal() int {
-	n := 0
-	for _, c := range ss.Dropped {
-		n += c
-	}
-	return n
-}
+func (ss *SyncSet) DroppedTotal() int { return ss.Dropped.Total() }
 
 // Barrier wait intervals and lock stalls, per processor, for the
 // critical-path attribution.
 type syncInterval struct {
 	from, to int64
 	prim     string
-}
-
-// pendingAcq is an un-granted lock-acquire.
-type pendingAcq struct {
-	time int64
-}
-
-// openAcq is a granted, not-yet-released lifecycle.
-type openAcq struct {
-	acq LockAcq
 }
 
 type lockProcKey struct {
@@ -169,14 +154,17 @@ type barKey struct {
 // BuildSync reconstructs the synchronization lifecycles of a trace. The
 // events must be in trace (seq) order, as read from a trace file. It always
 // returns a report — incomplete evidence degrades into Dropped counts.
-func BuildSync(events []protocol.TraceEvent) *SyncSet {
+func BuildSync(events []protocol.TraceEvent) *SyncSet { return BuildCausal(events).Sync() }
+
+// Sync reconstructs the synchronization lifecycles of the indexed trace.
+func (c *Causal) Sync() *SyncSet {
+	events := c.Events
 	ss := &SyncSet{
-		Dropped:  map[string]int{},
+		Dropped:  Dropped{},
 		CritSync: map[string]int64{},
 		Events:   len(events),
+		Gapped:   c.Gapped,
 	}
-	c := BuildCausal(events)
-	ss.Gapped = c.Gapped
 	if ss.Gapped {
 		ss.Warnings = append(ss.Warnings,
 			"trace has seq gaps (filtered or sampled); lifecycles limited to surviving events")
@@ -191,8 +179,8 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 		}
 		return l
 	}
-	pending := map[lockProcKey]pendingAcq{}
-	open := map[lockProcKey]openAcq{}
+	pending := map[lockProcKey]int64{} // un-granted acquires, by acquire time
+	open := map[lockProcKey]LockAcq{}  // granted, not yet released
 	arrivals := map[barKey]int64{}
 	gens := map[int]*BarrierGen{}
 	genOf := func(gen int) *BarrierGen {
@@ -219,11 +207,11 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			if _, dup := pending[k]; dup {
 				ss.Dropped["acquire-unmatched"]++
 			}
-			pending[k] = pendingAcq{time: e.Time}
+			pending[k] = e.Time
 
 		case protocol.SyncLockAcquired:
 			k := lockProcKey{e.Proc, id}
-			pa, ok := pending[k]
+			acquired, ok := pending[k]
 			if !ok {
 				ss.Dropped["acquired-without-acquire"]++
 				continue
@@ -232,24 +220,24 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			if _, dup := open[k]; dup {
 				ss.Dropped["release-missing"]++
 			}
-			open[k] = openAcq{acq: LockAcq{
+			open[k] = LockAcq{
 				Proc: e.Proc, Seq: e.Seq,
-				AcquireTime: pa.time, GrantTime: e.Time, ReleaseTime: -1,
+				AcquireTime: acquired, GrantTime: e.Time, ReleaseTime: -1,
 				Prev: int(e.Prev), Hops: int(e.Hops),
-			}}
+			}
 			intervals[e.Proc] = append(intervals[e.Proc],
-				syncInterval{pa.time, e.Time, fmt.Sprintf("lock %d", id)})
+				syncInterval{acquired, e.Time, fmt.Sprintf("lock %d", id)})
 
 		case protocol.SyncLockRelease:
 			k := lockProcKey{e.Proc, id}
-			oa, ok := open[k]
+			acq, ok := open[k]
 			if !ok {
 				ss.Dropped["release-without-acquire"]++
 				continue
 			}
 			delete(open, k)
-			oa.acq.ReleaseTime = e.Time
-			record(ss, lockOf(id), oa.acq, waitFor)
+			acq.ReleaseTime = e.Time
+			record(lockOf(id), acq, waitFor)
 
 		case protocol.SyncBarrier:
 			k := barKey{e.Proc, gen}
@@ -291,9 +279,8 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 
 	// Granted-but-unreleased lifecycles still count as acquires (their
 	// wait is known); unmatched halves degrade into Dropped.
-	ss.Dropped["unfinished-acquire"] += len(pending)
-	if ss.Dropped["unfinished-acquire"] == 0 {
-		delete(ss.Dropped, "unfinished-acquire")
+	if n := len(pending); n > 0 {
+		ss.Dropped["unfinished-acquire"] += n
 	}
 	heldKeys := make([]lockProcKey, 0, len(open))
 	for k := range open {
@@ -307,7 +294,7 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 		return a.proc < b.proc
 	})
 	for _, k := range heldKeys {
-		record(ss, lockOf(k.id), open[k].acq, waitFor)
+		record(lockOf(k.id), open[k], waitFor)
 		ss.Dropped["held-at-end"]++
 	}
 	if n := len(arrivals); n > 0 {
@@ -349,7 +336,7 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 
 // record finalizes one lifecycle into its lock summary and the wait-for
 // edges.
-func record(ss *SyncSet, l *LockSummary, a LockAcq, waitFor map[[2]int]*WaitFor) {
+func record(l *LockSummary, a LockAcq, waitFor map[[2]int]*WaitFor) {
 	l.Acquires = append(l.Acquires, a)
 	l.WaitTotal += a.Wait()
 	if h := a.Hold(); h >= 0 {
@@ -422,43 +409,22 @@ func SyncPrim(e *protocol.TraceEvent) string {
 	return ""
 }
 
-// waits and holds return the lock's sorted wait and hold distributions.
-func (l *LockSummary) waits() []int64 {
+// sorted returns the lock's distribution of a per-acquire measure, sorted;
+// negative values (an unreleased hold) are left out.
+func (l *LockSummary) sorted(measure func(*LockAcq) int64) []int64 {
 	out := make([]int64, 0, len(l.Acquires))
 	for i := range l.Acquires {
-		out = append(out, l.Acquires[i].Wait())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (l *LockSummary) holds() []int64 {
-	out := make([]int64, 0, len(l.Acquires))
-	for i := range l.Acquires {
-		if h := l.Acquires[i].Hold(); h >= 0 {
-			out = append(out, h)
+		if v := measure(&l.Acquires[i]); v >= 0 {
+			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // formatDropped renders the shared dropped/warning preamble.
 func (ss *SyncSet) formatDropped(b *strings.Builder) {
-	reasons := make([]string, 0, len(ss.Dropped))
-	for r := range ss.Dropped {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, ss.Dropped[r])
-	}
-	if len(parts) > 0 {
-		fmt.Fprintf(b, "dropped: %d (%s)\n", ss.DroppedTotal(), strings.Join(parts, ", "))
-	} else {
-		fmt.Fprintf(b, "dropped: 0\n")
-	}
+	ss.Dropped.format(b)
 	for _, w := range ss.Warnings {
 		fmt.Fprintf(b, "warning: %s\n", w)
 	}
@@ -470,7 +436,7 @@ func pctLine(sorted []int64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%d/%d/%d/%d",
-		pctile(sorted, 0.50), pctile(sorted, 0.90), pctile(sorted, 0.99),
+		Percentile(sorted, 0.50), Percentile(sorted, 0.90), Percentile(sorted, 0.99),
 		sorted[len(sorted)-1])
 }
 
@@ -491,7 +457,7 @@ func FormatSync(ss *SyncSet, topK int) string {
 			l := &ss.Locks[i]
 			fmt.Fprintf(&b, "  lock %-4d %8d %8d %12d %12d  %-23s %-23s\n",
 				l.ID, len(l.Acquires), l.Contended, l.WaitTotal, l.HoldTotal,
-				pctLine(l.waits()), pctLine(l.holds()))
+				pctLine(l.sorted((*LockAcq).Wait)), pctLine(l.sorted((*LockAcq).Hold)))
 		}
 	}
 	if barWait := barWaitTotal(ss); len(ss.Gens) > 0 {

@@ -67,7 +67,8 @@ func observedRun(t *testing.T, app string, cfg shasta.Config) (trace, metrics []
 	if err := r.Metrics.WriteJSON(&mb); err != nil {
 		t.Fatal(err)
 	}
-	ss := obsv.BuildSpans(col.Events)
+	index := obsv.BuildCausal(col.Events)
+	ss := index.Spans()
 	if len(ss.Spans) == 0 {
 		t.Errorf("%s (parallel=%v): no spans reconstructed", app, cfg.Parallel)
 	}
@@ -85,7 +86,7 @@ func observedRun(t *testing.T, app string, cfg shasta.Config) (trace, metrics []
 				app, cfg.Parallel, ss.Spans[i].Seq, stageSum, ss.Spans[i].Total())
 		}
 	}
-	sync = checkSyncReconciles(t, app, cfg, col, r.Metrics)
+	sync = checkSyncReconciles(t, app, cfg, index, r.Metrics)
 	return tb.Bytes(), mb.Bytes(), obsv.FormatSpans(ss, 5), sync, r.Result.ParallelCycles, r.Checksum
 }
 
@@ -94,9 +95,9 @@ func observedRun(t *testing.T, app string, cfg shasta.Config) (trace, metrics []
 // total) equal the metrics registry's per-primitive counters exactly: the
 // protocol reads the virtual clock at the same instants it emits the
 // bracketing trace events.
-func checkSyncReconciles(t *testing.T, app string, cfg shasta.Config, col *shasta.CollectorTracer, m *shasta.Metrics) string {
+func checkSyncReconciles(t *testing.T, app string, cfg shasta.Config, index *obsv.Causal, m *shasta.Metrics) string {
 	t.Helper()
-	ss := obsv.BuildSync(col.Events)
+	ss := index.Sync()
 	if ss.Gapped || ss.DroppedTotal() != 0 {
 		t.Errorf("%s (parallel=%v): complete trace degraded: gapped=%v dropped=%v",
 			app, cfg.Parallel, ss.Gapped, ss.Dropped)
