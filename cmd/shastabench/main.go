@@ -6,6 +6,7 @@
 //
 //	shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel auto|on|off] [-inject-race MODE]
 //	            [-procs N] [-topology NxG] [-snapshot FILE] [-label NAME] [-migrate]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 //	            [list | all | <experiment>...]
 //
 // Experiments: table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 micro anl
@@ -29,6 +30,11 @@
 // drop-lock, reorder-publish); by default it runs all three and checks each
 // detector verdict against ground truth.
 //
+// -cpuprofile and -memprofile profile the host side of the selected
+// experiments, like the same flags of `go run ./bench`: the CPU profile
+// covers the experiment runs, the heap profile is written at exit after a
+// garbage collection. See PERFORMANCE.md §5.
+//
 // With -obsv DIR, every application run additionally emits a
 // TRACE_<run>.jsonl protocol trace and a METRICS_<run>.json metrics snapshot
 // into DIR; inspect them with the shastatrace command (see OBSERVABILITY.md).
@@ -45,6 +51,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -62,8 +69,10 @@ func main() {
 	snapshot := flag.String("snapshot", "", "scale experiment: write a shasta-bench/v1 snapshot to this file")
 	label := flag.String("label", "", "snapshot label (default \"local\")")
 	migrateFlag := flag.Bool("migrate", false, "enable online home migration for every application run (see OBSERVABILITY.md §11)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments' runs to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit, after a garbage collection")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel auto|on|off] [-inject-race MODE] [list | all | <experiment>...]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel auto|on|off] [-inject-race MODE] [-cpuprofile FILE] [-memprofile FILE] [list | all | <experiment>...]\n\nexperiments:\n")
 		for _, e := range harness.Experiments {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
 		}
@@ -119,18 +128,75 @@ func main() {
 		ids = args
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shastabench: %v\n", err)
+		os.Exit(1)
+	}
+	code := runExperiments(ids, opts)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "shastabench: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// runExperiments runs the experiments in order and returns the exit code.
+func runExperiments(ids []string, opts harness.Options) int {
 	for _, id := range ids {
 		exp, ok := harness.ByID(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "shastabench: unknown experiment %q (try 'list')\n", id)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Printf("=== %s: %s ===\n", exp.ID, exp.Title)
 		start := time.Now()
 		if err := exp.Run(opts, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "shastabench: %s: %v\n", exp.ID, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("(%s in %.1fs)\n\n", exp.ID, time.Since(start).Seconds())
 	}
+	return 0
+}
+
+// startProfiles starts the CPU profile, if one is asked for, and returns the
+// function that ends it and writes the heap profile. Both files are created
+// here, so an unwritable path is reported before the experiments run rather
+// than after them.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			return nil, err
+		}
+	}
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				cpu.Close()
+			}
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == nil {
+			return nil
+		}
+		runtime.GC() // the profile reports the live heap as of the last collection
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			return err
+		}
+		return mem.Close()
+	}, nil
 }

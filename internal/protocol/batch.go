@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/memory"
 	"repro/internal/stats"
@@ -36,39 +35,67 @@ type BatchRef struct {
 // operations perform no per-access checks.
 type Batch struct {
 	p *Proc
-	// acc accumulates the slots the batched body actually accesses, per
-	// block. It is non-nil only when the batch missed under an attached
-	// tracer: the miss events carry the batch's declared ranges, which
-	// over-approximate, so the batch emits touch events with these exact
-	// masks as the race detector's access evidence (see
-	// internal/obsv/races.go).
-	acc map[int]*batchAcc
+	// rows is the batch's requirement table: one row per block its
+	// references cover, sorted by base line. The context and the table's
+	// storage belong to the processor (Proc.batches) and serve every batch
+	// it starts at this nesting depth.
+	rows []batchRow
+	// noting is set while the body of a batch that missed under an attached
+	// tracer runs: the miss events carry the batch's declared ranges, which
+	// over-approximate, so the rows accumulate the slots the body actually
+	// accesses and the batch emits touch events with these exact masks as
+	// the race detector's access evidence (see internal/obsv/races.go).
+	noting bool
 }
 
-// batchAcc is one block's accumulated actual access masks.
-type batchAcc struct {
-	rd, wr uint64
+// batchRow carries one block's batched requirements: whether any reference
+// stores to it, the sub-block slots the batch's reference ranges cover
+// (recorded into the per-block access masks when the batch misses), and the
+// slots its body accessed (see Batch.noting).
+type batchRow struct {
+	base           int
+	store          bool
+	rdMask, wrMask uint64
+	rd, wr         uint64
+}
+
+// row returns the table's row for a block, inserting an empty one in base
+// order if the block is new. References usually arrive in ascending address
+// order, so the search runs from the end.
+func (b *Batch) row(base int) *batchRow {
+	i := len(b.rows)
+	for i > 0 && b.rows[i-1].base > base {
+		i--
+	}
+	if i > 0 && b.rows[i-1].base == base {
+		return &b.rows[i-1]
+	}
+	b.rows = append(b.rows, batchRow{})
+	copy(b.rows[i+1:], b.rows[i:])
+	b.rows[i] = batchRow{base: base}
+	return &b.rows[i]
 }
 
 // note records the slots one batched access touches (no-op unless the
-// batch is accumulating access evidence).
+// batch is accumulating access evidence). An access outside the declared
+// references has no row and leaves no evidence.
 func (b *Batch) note(addr memory.Addr, size int, write bool) {
-	if b.acc == nil {
+	if !b.noting {
 		return
 	}
 	lay := b.p.sys.lay
 	base, lines := lay.BlockOf(addr)
 	lo := int64(addr - lay.LineAddr(base))
 	m := stats.SlotMask(lines*lay.LineSize(), lo, lo+int64(size))
-	a := b.acc[base]
-	if a == nil {
-		a = &batchAcc{}
-		b.acc[base] = a
-	}
-	if write {
-		a.wr |= m
-	} else {
-		a.rd |= m
+	for i := range b.rows {
+		if r := &b.rows[i]; r.base == base {
+			if write {
+				r.wr |= m
+			} else {
+				r.rd |= m
+			}
+			return
+		}
 	}
 }
 
@@ -127,7 +154,12 @@ func (b *Batch) Compute(cycles int64) { b.p.Compute(cycles) }
 // sufficient state the sequence runs immediately, otherwise the batch miss
 // handler fetches the missing blocks first.
 func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
-	b := &Batch{p: p}
+	// A batch started inside another's body runs one level deeper, with a
+	// context and requirement table of its own.
+	if p.inBatch == len(p.batches) {
+		p.batches = append(p.batches, &Batch{p: p})
+	}
+	b := p.batches[p.inBatch]
 	if p.sys.cfg.Hardware {
 		f(b)
 		return
@@ -140,7 +172,7 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 	// for check-cost purposes.
 	linePairs := 0
 	loadOnly := true
-	needs := make(map[int]need2)
+	b.rows = b.rows[:0]
 	for _, r := range refs {
 		if r.Bytes <= 0 {
 			continue
@@ -153,7 +185,7 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 		}
 		for li := first; li <= last; {
 			base, lines := lay.BlockOf(lay.LineAddr(li))
-			n := needs[base]
+			n := b.row(base)
 			n.store = n.store || r.Store
 			// The slots this reference's range covers within the block,
 			// for the observatory's access masks. A reference is declared
@@ -174,30 +206,22 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 			} else {
 				n.rdMask |= m
 			}
-			needs[base] = n
 			li = base + lines
 		}
 	}
 	p.charge(stats.Task, cfg.CheckCosts.BatchCheck(cfg.CheckMode(), linePairs, loadOnly))
 	p.st.ChecksExecuted++
 
-	bases := make([]int, 0, len(needs))
-	for base := range needs {
-		bases = append(bases, base)
-	}
-	sort.Ints(bases)
 	ok := true
-	for _, base := range bases {
-		if !p.batchStateOK(base, needs[base].store) {
+	for i := range b.rows {
+		if !p.batchStateOK(b.rows[i].base, b.rows[i].store) {
 			ok = false
 			break
 		}
 	}
 	if !ok {
-		p.batchMiss(bases, needs)
-		if p.sys.tracer != nil {
-			b.acc = make(map[int]*batchAcc)
-		}
+		p.batchMiss(b.rows)
+		b.noting = p.sys.tracer != nil
 	}
 	p.inBatch++
 	f(b)
@@ -206,9 +230,10 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 		// The exact slots the body accessed, per fetched block. The body
 		// does not poll, so the touch events' position still reflects the
 		// processor's synchronization state when the accesses ran.
-		for _, base := range bases {
-			if a := b.acc[base]; a != nil && (a.rd|a.wr) != 0 {
-				p.trace("touch", "", base, TraceFields{Rd: a.rd, Wr: a.wr})
+		b.noting = false
+		for i := range b.rows {
+			if r := &b.rows[i]; (r.rd | r.wr) != 0 {
+				p.trace("touch", "", r.base, TraceFields{Rd: r.rd, Wr: r.wr})
 			}
 		}
 		// Markers exist only when the miss handler ran; a batch whose
@@ -216,7 +241,7 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 		// message handling, and in SMP mode any concurrent downgrade
 		// waits on this processor's downgrade message, which it handles
 		// only after the body).
-		p.batchEnd(bases)
+		p.batchEnd(b.rows)
 	}
 }
 
@@ -234,20 +259,20 @@ func (p *Proc) batchStateOK(base int, store bool) bool {
 // issues requests for all insufficient blocks — pipelined, like the real
 // handler, which "sends out requests for any missing blocks" and only then
 // waits for the replies — and stalls until every block is available.
-func (p *Proc) batchMiss(bases []int, needs map[int]need2) {
+func (p *Proc) batchMiss(rows []batchRow) {
 	c := p.sys.cfg.Costs
 	p.charge(stats.Task, c.Entry)
-	p.trace("batch", "", -1, TraceFields{N: int32(len(bases))})
-	for _, base := range bases {
-		b := p.blockStat(base)
-		b.ReadMask |= needs[base].rdMask
-		b.WriteMask |= needs[base].wrMask
+	p.trace("batch", "", -1, TraceFields{N: int32(len(rows))})
+	for i := range rows {
+		b := p.blockStat(rows[i].base)
+		b.ReadMask |= rows[i].rdMask
+		b.WriteMask |= rows[i].wrMask
 	}
 	// Mark all blocks first so the invalid-flag store for any block
 	// invalidated while the handler waits is deferred until the batch
 	// ends, keeping batched loads correct (the paper's batch markers).
-	for _, base := range bases {
-		p.grp.batchMarks[base]++
+	for i := range rows {
+		p.grp.batchMarks[rows[i].base]++
 	}
 	// Issue-then-wait rounds. While waiting the handler services
 	// incoming requests, so an earlier-acquired store block may be
@@ -273,7 +298,8 @@ func (p *Proc) batchMiss(bases []int, needs map[int]need2) {
 		}
 		if round > 0 && round%1000 == 0 {
 			var detail string
-			for _, b := range bases {
+			for i := range rows {
+				b := rows[i].base
 				e := p.grp.miss[b]
 				es := "-"
 				if e != nil {
@@ -290,15 +316,15 @@ func (p *Proc) batchMiss(bases []int, needs map[int]need2) {
 			dgWait bool
 		}
 		var waits []waitItem
-		for _, base := range bases {
-			store := needs[base].store
+		for i := range rows {
+			base, store := rows[i].base, rows[i].store
 			if round > 0 && !store && p.batchStateOK(base, false) {
 				continue
 			}
 			if p.batchStateOK(base, store) {
 				continue
 			}
-			entry, dgWait := p.batchIssue(base, needs[base])
+			entry, dgWait := p.batchIssue(&rows[i])
 			if entry != nil || dgWait {
 				waits = append(waits, waitItem{base, store, entry, dgWait})
 			}
@@ -329,10 +355,10 @@ func (p *Proc) batchMiss(bases []int, needs map[int]need2) {
 // batchIssue brings one block's fetch in flight (or satisfies it locally)
 // without stalling, so a batch's misses overlap. It returns the entry to
 // wait on (nil if no wait is needed) and whether the block is mid-downgrade
-// and must be waited out instead. The need carries the batch's declared
+// and must be waited out instead. The row carries the batch's declared
 // sub-block ranges so an issued miss event records them as offset evidence.
-func (p *Proc) batchIssue(base int, need need2) (*missEntry, bool) {
-	store := need.store
+func (p *Proc) batchIssue(need *batchRow) (*missEntry, bool) {
+	base, store := need.base, need.store
 	p.lockBlock(base)
 	defer p.unlockBlock(base)
 	if entry := p.grp.miss[base]; entry != nil && !entry.complete && !entry.acksOnly() {
@@ -410,18 +436,11 @@ func (p *Proc) upgradePrivate(base int, store bool) {
 	}
 }
 
-// need2 carries one block's batched requirements: whether any reference
-// stores to it, and the sub-block slots the batch's reference ranges cover,
-// recorded into the per-block access masks when the batch misses.
-type need2 struct {
-	store          bool
-	rdMask, wrMask uint64
-}
-
 // batchEnd removes the batch markers and completes any invalid-flag stores
 // that were deferred while the batch ran.
-func (p *Proc) batchEnd(bases []int) {
-	for _, base := range bases {
+func (p *Proc) batchEnd(rows []batchRow) {
+	for i := range rows {
+		base := rows[i].base
 		p.grp.batchMarks[base]--
 		if p.grp.batchMarks[base] == 0 {
 			delete(p.grp.batchMarks, base)

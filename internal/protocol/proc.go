@@ -58,8 +58,16 @@ type Proc struct {
 	// occupancy is attributed once per top-level dispatch.
 	handlerDepth int
 
-	// inBatch is nonzero while executing a batched sequence.
+	// inBatch is the nesting depth of batched sequences being executed, and
+	// batches the batch context of each depth, reused from call to call: a
+	// batch started inside another's body gets its own requirement table.
 	inBatch int
+	batches []*Batch
+
+	// events queues this processor's traced events until the engine
+	// delivers them (see trace, emitTrace); evHead is the delivered prefix.
+	events []TraceEvent
+	evHead int
 
 	// Synchronization state.
 	lockQueues  map[int][]int // locks homed here: waiting procs; head holds it

@@ -270,7 +270,6 @@ func New(cfg Config) *System {
 	s.eng.FixedWindows = cfg.FixedWindows
 	s.eng.WindowCap = cfg.WindowCap
 	s.eng.SetDomains(conflictDomains(topo, groupSize, cfg.NumProcs))
-	s.eng.SetEmitFunc(s.emitTrace)
 	return s
 }
 

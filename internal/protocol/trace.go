@@ -136,35 +136,51 @@ func (t *CollectorTracer) Event(e TraceEvent) {
 }
 
 // SetTracer attaches a tracer to the system (nil detaches). Call before
-// Run.
-func (s *System) SetTracer(tr Tracer) { s.tracer = tr }
+// Run. The engine's emit sink is installed only while a tracer is attached,
+// so an untraced run's scheduler has no emissions to look for.
+func (s *System) SetTracer(tr Tracer) {
+	s.tracer = tr
+	if tr == nil {
+		s.eng.SetEmitFunc(nil)
+		return
+	}
+	s.eng.SetEmitFunc(s.emitTrace)
+}
 
-// trace emits an event if a tracer is attached. The event is buffered in
-// the simulator and delivered to the tracer — with its Seq assigned — on
-// the scheduler's control thread once the virtual-time floor passes it, in
-// deterministic (Time, Proc, program order) order; see emitTrace. The
-// tracer therefore observes an identical event sequence under the serial
-// and parallel schedulers. Sites on the hot path, or whose fields cost
-// something to gather (blockState), test p.sys.tracer themselves first.
+// trace emits an event if a tracer is attached. The event is queued on the
+// processor's own FIFO (Proc.events) and the simulator is handed only the
+// processor as the emission's payload: the engine decides when each emission
+// is delivered — on the scheduler's control thread once the virtual-time
+// floor passes it, in deterministic (Time, Proc, program order) order — and
+// emitTrace then takes the event from the front of the FIFO, assigning its
+// Seq. The tracer therefore observes an identical event sequence under the
+// serial and parallel schedulers, and a traced event is never boxed. Sites
+// on the hot path, or whose fields cost something to gather (blockState),
+// test p.sys.tracer themselves first.
 func (p *Proc) trace(op, msg string, base int, f TraceFields) {
 	if p.sys.tracer == nil {
 		return
 	}
 	f.Typed = true
-	p.sp.Emit(TraceEvent{Time: p.sp.Now(), Proc: p.id, Op: op, Msg: msg, BaseLine: base, TraceFields: f})
+	p.events = append(p.events, TraceEvent{Time: p.sp.Now(), Proc: p.id, Op: op, Msg: msg, BaseLine: base, TraceFields: f})
+	p.sp.Emit(p)
 }
 
-// emitTrace is the engine's emit sink: it assigns the global sequence
-// number at merge time and forwards the event to the attached tracer. It
-// runs single-threaded on the scheduler's control thread.
+// emitTrace is the engine's emit sink: the payload names the processor whose
+// oldest queued event is due. It assigns the global sequence number at merge
+// time and forwards the event to the attached tracer, and rewinds the FIFO
+// once it drains so its storage is reused. It runs single-threaded on the
+// scheduler's control thread, never while the processor itself runs.
 func (s *System) emitTrace(_ int64, _ int, payload any) {
-	if s.tracer == nil {
-		return
-	}
+	p := payload.(*Proc)
+	ev := &p.events[p.evHead]
+	p.evHead++
 	s.traceSeq++
-	ev := payload.(TraceEvent)
 	ev.Seq = s.traceSeq
-	s.tracer.Event(ev)
+	s.tracer.Event(*ev)
+	if p.evHead == len(p.events) {
+		p.events, p.evHead = p.events[:0], 0
+	}
 }
 
 // blockState captures the block's local protocol state for a handle or miss

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -138,4 +139,91 @@ func TestUntracedPathFormatsNothing(t *testing.T) {
 		}
 		delete(p.grp.miss, base)
 	})
+}
+
+// countingTracer counts events without keeping them.
+type countingTracer struct{ n int }
+
+func (c *countingTracer) Event(TraceEvent) { c.n++ }
+
+// TestTraceEmissionAmortizes pins that a traced event costs no allocation of
+// its own: it is appended to its processor's event FIFO and handed to the
+// engine as a pointer, so a run that emits 20,000 more events than another
+// allocates at most a few hundred more objects (buffer growth), where boxing
+// each event would allocate 20,000.
+func TestTraceEmissionAmortizes(t *testing.T) {
+	run := func(perProc int) (events int, mallocs int64) {
+		s := testSystem(4, 4)
+		ct := &countingTracer{}
+		s.SetTracer(ct)
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		s.Run(func(p *Proc) {
+			for i := 0; i < perProc; i++ {
+				p.trace("sync", "", -1, TraceFields{Sync: SyncLockRelease, ID: int32(i)})
+				p.Compute(int64(1 + p.ID()))
+			}
+		})
+		runtime.ReadMemStats(&b)
+		return ct.n, int64(b.Mallocs - a.Mallocs)
+	}
+	baseEvents, base := run(1000)
+	grownEvents, grown := run(6000)
+	n := grownEvents - baseEvents
+	if n < 20000 {
+		t.Fatalf("runs differ by %d events, want at least 20000", n)
+	}
+	if d := grown - base; d > int64(n/50) {
+		t.Errorf("%d more mallocs for %d more events (%d vs %d): emission allocates per event", d, n, grown, base)
+	}
+}
+
+// TestSinkFollowsTracer pins when the engine has an emit sink: a tracer
+// attached after New and before Run receives the complete trace, numbered
+// from 1 and ending with the last processor's departure from the final
+// barrier, while a run without a tracer — never attached, or detached again —
+// leaves the engine without a sink. The probe is a stray emission from the
+// body: without a sink it is dropped at its source, with emitTrace installed
+// it reaches the sink, which panics on a payload that is not a processor.
+func TestSinkFollowsTracer(t *testing.T) {
+	run := func(s *System, stray bool) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		a := s.Alloc(64, 64)
+		s.Run(func(p *Proc) {
+			if stray {
+				p.sp.Emit("stray")
+			}
+			p.StoreU64(a+Addr8(p.ID()), 1)
+			p.Barrier()
+			_ = p.LoadU64(a + Addr8((p.ID()+4)%8))
+		})
+		return false
+	}
+
+	traced, col := testSystem(8, 4), &CollectorTracer{}
+	traced.SetTracer(col)
+	run(traced, false)
+	departs := 0
+	for i, e := range col.Events {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d", i, e.Seq)
+		}
+		if e.Op == "sync" && e.Sync == SyncBarrierDepart {
+			departs++
+		}
+	}
+	if last := col.Events[len(col.Events)-1]; departs != 2*8 || last.Op != "sync" || last.Sync != SyncBarrierDepart {
+		t.Errorf("trace has %d barrier departures and ends with %v, want 16 and the final departure", departs, last)
+	}
+
+	never, detached, attached := testSystem(8, 4), testSystem(8, 4), testSystem(8, 4)
+	detached.SetTracer(&CollectorTracer{})
+	detached.SetTracer(nil)
+	attached.SetTracer(&CollectorTracer{})
+	if run(never, true) || run(detached, true) {
+		t.Error("a run without a tracer delivered an emission: the engine has a sink")
+	}
+	if !run(attached, true) {
+		t.Error("a traced run dropped a stray emission: the engine has no sink")
+	}
 }

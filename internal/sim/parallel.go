@@ -39,8 +39,9 @@ package sim
 //     either scheduler (see Proc.Fence and Engine.resolveFences).
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -246,6 +247,7 @@ func (e *Engine) runWindows() int64 {
 			for _, m := range p.outbox {
 				e.procs[m.Dst].enqueue(m)
 			}
+			clear(p.outbox) // a staged message must not outlive its delivery here
 			p.outbox = p.outbox[:0]
 		}
 	}
@@ -333,23 +335,45 @@ func (e *Engine) domainHorizon(p *Proc, dom []*Proc, end int64) int64 {
 const depthBatch = 4096
 
 // flushTo delivers all buffered emissions with time strictly below floor
-// (in deterministic merge order) and folds pending inbox-depth events below
-// floor. Called only from the scheduler's control thread — per serial step
-// or per window — when the global virtual-time floor advances, and once
-// with floor = MaxInt64 at the end of Run.
+// (in deterministic merge order) and folds full batches of pending
+// inbox-depth events below floor. Called only from the scheduler's control
+// thread — per serial step or per window — when the global virtual-time
+// floor advances, and once with floor = MaxInt64 at the end of Run, which
+// folds every remaining depth event. It works from Engine.flushList: a
+// serial step with nothing pending returns without touching a processor.
 func (e *Engine) flushTo(floor int64) {
-	if e.emitFn != nil {
-		e.mergeEmits(floor)
-	}
 	final := floor == math.MaxInt64
-	for _, p := range e.procs {
+	if e.windowed || final {
+		for _, p := range e.procs {
+			if !p.flushListed && (p.emitStart < len(p.emits) || len(p.depthPend) >= depthBatch ||
+				final && len(p.depthPend) > 0) {
+				p.flushListed = true
+				e.flushList = append(e.flushList, p)
+			}
+		}
+		e.flushVisits += int64(len(e.procs))
+	}
+	if len(e.flushList) == 0 {
+		return
+	}
+	e.flushVisits += int64(len(e.flushList))
+	e.mergeEmits(floor)
+	keep := e.flushList[:0]
+	for _, p := range e.flushList {
 		if final || len(p.depthPend) >= depthBatch {
 			p.applyDepth(floor)
 		}
+		if p.emitStart < len(p.emits) || len(p.depthPend) >= depthBatch {
+			keep = append(keep, p)
+			continue
+		}
+		p.emits, p.emitStart = p.emits[:0], 0
+		p.flushListed = false
 	}
+	e.flushList = keep
 }
 
-// mergeEmits is a k-way merge of the per-processor emission buffers by
+// mergeEmits is a k-way merge of the listed processors' emission buffers by
 // (time, proc); within one processor, buffer order (program order) is
 // already time-sorted because a processor's clock never decreases. The
 // merge runs on an index min-heap over the processors with deliverable
@@ -369,9 +393,9 @@ func (e *Engine) mergeEmits(floor int64) {
 		return a < b
 	}
 	h := e.emitHeap[:0]
-	for i, p := range e.procs {
+	for _, p := range e.flushList {
 		if p.emitStart < len(p.emits) && p.emits[p.emitStart].time < floor {
-			h = append(h, i)
+			h = append(h, p.ID)
 		}
 	}
 	siftDown := func(i int) {
@@ -410,12 +434,6 @@ func (e *Engine) mergeEmits(floor int64) {
 		}
 	}
 	e.emitHeap = h[:0]
-	for _, p := range e.procs {
-		if p.emitStart == len(p.emits) {
-			p.emits = p.emits[:0]
-			p.emitStart = 0
-		}
-	}
 }
 
 // applyDepth folds pending depth events with time strictly below floor into
@@ -437,11 +455,17 @@ func (p *Proc) applyDepth(floor int64) {
 	if len(due) == 0 {
 		return
 	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].time != due[j].time {
-			return due[i].time < due[j].time
+	slices.SortFunc(due, func(a, b depthEvent) int {
+		if a.time != b.time {
+			return cmp.Compare(a.time, b.time)
 		}
-		return !due[i].pop && due[j].pop
+		if a.pop == b.pop {
+			return 0
+		}
+		if b.pop {
+			return -1
+		}
+		return 1
 	})
 	for _, ev := range due {
 		if ev.pop {

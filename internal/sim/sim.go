@@ -27,7 +27,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"math"
@@ -124,6 +123,8 @@ type Proc struct {
 	depthDue  []depthEvent
 	depth     int
 	peakDepth int
+	// flushListed marks the processor as present in Engine.flushList.
+	flushListed bool
 }
 
 // PeakInboxDepth returns the largest number of messages ever simultaneously
@@ -234,10 +235,29 @@ func (p *Proc) post(dst int, arrival int64, payload any) {
 	}
 }
 
+// noteDepth buffers one inbox-depth event; a full batch is work for the next
+// flush.
+func (p *Proc) noteDepth(ev depthEvent) {
+	p.depthPend = append(p.depthPend, ev)
+	if len(p.depthPend) == depthBatch {
+		p.listFlush()
+	}
+}
+
+// listFlush puts the processor on the engine's flush list (see
+// Engine.flushList). Only under the serial scheduler, where everything runs
+// on one control flow; the window scheduler's flush finds its work itself.
+func (p *Proc) listFlush() {
+	if e := p.eng; !p.flushListed && !e.windowed {
+		p.flushListed = true
+		e.flushList = append(e.flushList, p)
+	}
+}
+
 // enqueue pushes a message into the inbox and records its depth event.
 func (p *Proc) enqueue(m Message) {
-	heap.Push(&p.inbox, m)
-	p.depthPend = append(p.depthPend, depthEvent{time: m.sendTime})
+	p.inbox.push(m)
+	p.noteDepth(depthEvent{time: m.sendTime})
 	// A blocked processor's next-run time is its earliest pending arrival,
 	// which this message may have just established or lowered: give the
 	// serial scheduler's ready heap a fresh key. (Ready processors run at
@@ -253,8 +273,8 @@ func (p *Proc) enqueue(m Message) {
 // popInbox removes the earliest deliverable message and records the
 // matching depth event at the pop's virtual time.
 func (p *Proc) popInbox() Message {
-	m := heap.Pop(&p.inbox).(Message)
-	p.depthPend = append(p.depthPend, depthEvent{time: p.now, pop: true})
+	m := p.inbox.pop()
+	p.noteDepth(depthEvent{time: p.now, pop: true})
 	return m
 }
 
@@ -312,6 +332,7 @@ func (p *Proc) Emit(payload any) {
 		return
 	}
 	p.emits = append(p.emits, emitRec{time: p.now, payload: payload})
+	p.listFlush()
 }
 
 // Fence schedules f(proc, at) to run once per processor, observing the
@@ -504,6 +525,16 @@ type Engine struct {
 	activeBuf   []int
 	emitHeap    []int
 	windowCount int64
+	// flushList holds the processors flushTo has work for: those with an
+	// undelivered emission or a full batch of depth events. Under the serial
+	// scheduler, which flushes before every slice, a processor lists itself
+	// the moment either becomes true (Proc.listFlush), so a flush with
+	// nothing pending visits no processor; the window scheduler's workers
+	// cannot share a list, and its once-per-window flush scans instead.
+	// flushVisits counts the processors flushTo examined (a host-side
+	// diagnostic, like Proc.slices).
+	flushList   []*Proc
+	flushVisits int64
 	// readyPQ is the serial scheduler's (next-run time, processor ID)
 	// min-heap; pqActive gates the enqueue-side key pushes to runSerial
 	// (the window scheduler keeps its own per-domain schedule). Entries are
@@ -678,6 +709,7 @@ func (e *Engine) resetRun(body func(*Proc)) {
 	e.panicCh = make(chan procPanic, len(e.procs))
 	e.fences = nil
 	e.windowCount = 0
+	e.flushList, e.flushVisits = e.flushList[:0], 0
 	e.emitHeap = e.emitHeap[:0]
 	e.activeBuf = e.activeBuf[:0]
 	e.readyPQ = e.readyPQ[:0]
@@ -692,6 +724,7 @@ func (e *Engine) resetRun(body func(*Proc)) {
 		p.emits, p.emitStart = nil, 0
 		p.depthPend, p.depthDue = nil, nil
 		p.depth, p.peakDepth = 0, 0
+		p.flushListed = false
 		p.slices = 0
 	}
 }
@@ -867,8 +900,7 @@ func (e *Engine) dump() string {
 // deterministic and identical under the serial and parallel schedulers.
 type msgHeap []Message
 
-func (h msgHeap) Len() int { return len(h) }
-func (h msgHeap) Less(i, j int) bool {
+func (h msgHeap) less(i, j int) bool {
 	if h[i].Arrival != h[j].Arrival {
 		return h[i].Arrival < h[j].Arrival
 	}
@@ -880,12 +912,45 @@ func (h msgHeap) Less(i, j int) bool {
 	}
 	return h[i].srcSeq < h[j].srcSeq
 }
-func (h msgHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *msgHeap) Push(x any)   { *h = append(*h, x.(Message)) }
-func (h *msgHeap) Pop() any {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	*h = old[:n-1]
-	return m
+
+// push inserts a message, sifting up.
+func (h *msgHeap) push(m Message) {
+	*h = append(*h, m)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes the earliest message, sifting down. The vacated slot is
+// zeroed: a delivered message's payload must not stay reachable from the
+// inbox's backing array.
+func (h *msgHeap) pop() Message {
+	s := *h
+	n := len(s) - 1
+	m := s[0]
+	s[0] = s[n]
+	s[n] = Message{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && s.less(l, least) {
+			least = l
+		}
+		if r < n && s.less(r, least) {
+			least = r
+		}
+		if least == i {
+			return m
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
 }

@@ -2,14 +2,18 @@ package sim
 
 // Tests and benchmarks for the context switch itself — the scheduler
 // resuming a processor coroutine for one slice: the SlicesRun count, the
-// allocation-freedom of steady-state hand-off, the diagnostics a failed run
-// prints, and ns/slice under Ocean's access pattern.
+// allocation-freedom of steady-state hand-off and message delivery, what a
+// slice's flush visits, the diagnostics a failed run prints, and ns/slice
+// under Ocean's access pattern.
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -68,6 +72,15 @@ func TestSlicesRunCountsTheSchedule(t *testing.T) {
 	}
 }
 
+// mallocs returns how many heap objects f allocates.
+func mallocs(f func()) int64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	f()
+	runtime.ReadMemStats(&b)
+	return int64(b.Mallocs - a.Mallocs)
+}
+
 // TestHandoffDoesNotAllocate checks that a slice costs no heap allocation in
 // steady state: two runs of the same engine that differ by more than 10,000
 // slices must differ by at most a few dozen mallocs — runtime background
@@ -76,13 +89,6 @@ func TestSlicesRunCountsTheSchedule(t *testing.T) {
 // lookahead beyond the program's end so both runs are a single window and
 // the per-window worker goroutines cancel too.
 func TestHandoffDoesNotAllocate(t *testing.T) {
-	mallocs := func(f func()) int64 {
-		var a, b runtime.MemStats
-		runtime.ReadMemStats(&a)
-		f()
-		runtime.ReadMemStats(&b)
-		return int64(b.Mallocs - a.Mallocs)
-	}
 	for _, e := range []*Engine{NewEngine(16), windowedEngine(16, 8, 1<<40)} {
 		const short, long = 10, 10 + 10000/16
 		e.Run(leapfrog(long)) // warm: grow the ready heap to its working set
@@ -98,6 +104,139 @@ func TestHandoffDoesNotAllocate(t *testing.T) {
 		if d := grown - base; d > 50 {
 			t.Errorf("parallel=%v: %d more mallocs for 10000 more slices (%d vs %d): hand-off allocates",
 				e.Parallel, d, grown, base)
+		}
+	}
+}
+
+// pingPong has processors 0 and 1 exchange a message rounds times; each round
+// trip is two sends and two blocked receives.
+func pingPong(rounds int) func(*Proc) {
+	return func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			if p.ID == 0 {
+				p.Send(1, 10, nil)
+				p.WaitRecv(stats.Read, "pong")
+			} else {
+				p.WaitRecv(stats.Read, "ping")
+				p.Send(0, 10, nil)
+			}
+		}
+	}
+}
+
+// TestSendRecvDoesNotAllocate checks that delivering a message costs no heap
+// allocation in steady state, under both schedulers: 10,000 more round trips
+// must add at most a few dozen mallocs, where boxing each message once on
+// its way into the inbox would add 20,000. Both runs are long enough to fold
+// a full batch of depth events, so that buffer's growth cancels. The windowed
+// engine's two processors are separate domains a lookahead apart, so every
+// message is staged in an outbox and merged at a window boundary, and every
+// window has one active domain (no worker goroutine to allocate).
+func TestSendRecvDoesNotAllocate(t *testing.T) {
+	for _, e := range []*Engine{NewEngine(2), windowedEngine(2, 1, 10)} {
+		const short, long = 3000, 13000
+		base := mallocs(func() { e.Run(pingPong(short)) })
+		grown := mallocs(func() { e.Run(pingPong(long)) })
+		if e.Parallel != (e.WindowsRun() > 0) {
+			t.Fatalf("parallel=%v ran %d windows", e.Parallel, e.WindowsRun())
+		}
+		if d := grown - base; d > 50 {
+			t.Errorf("parallel=%v: %d more mallocs for %d more round trips (%d vs %d): delivery allocates",
+				e.Parallel, d, long-short, grown, base)
+		}
+	}
+}
+
+// TestIdleFlushVisitsNoProcessor checks that the serial scheduler's per-slice
+// flush costs nothing when nothing is pending, even with an emit sink
+// installed: over 16,000 slices of a program that emits and sends nothing,
+// the only processors a flush examines are those of the end-of-run scan.
+func TestIdleFlushVisitsNoProcessor(t *testing.T) {
+	e := NewEngine(16)
+	e.SetEmitFunc(func(int64, int, any) { t.Error("nothing was emitted") })
+	e.Run(leapfrog(1000))
+	if e.SlicesRun() < 16000 {
+		t.Fatalf("SlicesRun = %d, want at least 16000", e.SlicesRun())
+	}
+	if e.flushVisits > int64(e.NumProcs()) {
+		t.Errorf("flushes examined %d processors over %d slices, want only the final scan's %d",
+			e.flushVisits, e.SlicesRun(), e.NumProcs())
+	}
+}
+
+// tracked is a payload whose collection a finalizer reports.
+type tracked struct{ _ [64]byte }
+
+// sendTracked sends a freshly allocated tracked payload, keeping no
+// reference of its own.
+//
+//go:noinline
+func sendTracked(p *Proc, dst int, collected chan<- struct{}) {
+	x := new(tracked)
+	runtime.SetFinalizer(x, func(*tracked) { close(collected) })
+	p.Send(dst, 10, x)
+}
+
+// recvAndDrop receives one message and forgets it.
+//
+//go:noinline
+func recvAndDrop(p *Proc) { p.WaitRecv(stats.Read, "tracked") }
+
+// TestDeliveredPayloadIsCollectable checks that the inbox does not keep a
+// delivered message alive: once WaitRecv has returned it and the receiver
+// has dropped it, the payload is garbage while the engine is still running,
+// because pop zeroes the slot the heap vacates.
+func TestDeliveredPayloadIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	e := newTestEngine(2)
+	e.Run(func(p *Proc) {
+		if p.ID == 0 {
+			sendTracked(p, 1, collected)
+			return
+		}
+		recvAndDrop(p)
+		for i := 0; i < 20; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		t.Error("a delivered message's payload is still reachable from the engine")
+	})
+}
+
+// TestInboxPopsInKeyOrder cross-checks the inbox heap against a sort on
+// (Arrival, sendTime, Src, srcSeq), with ties on every prefix of the key,
+// and checks that draining it leaves no message in its backing array.
+func TestInboxPopsInKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h msgHeap
+	var want []Message
+	for i := 0; i < 500; i++ {
+		m := Message{Arrival: int64(rng.Intn(8)), sendTime: int64(rng.Intn(4)),
+			Src: rng.Intn(4), srcSeq: uint64(i), Payload: i}
+		h.push(m)
+		want = append(want, m)
+	}
+	slices.SortFunc(want, func(a, b Message) int {
+		for _, d := range []int64{a.Arrival - b.Arrival, a.sendTime - b.sendTime,
+			int64(a.Src - b.Src), int64(a.srcSeq) - int64(b.srcSeq)} {
+			if d != 0 {
+				return int(d)
+			}
+		}
+		return 0
+	})
+	for i, w := range want {
+		if got := h.pop(); got != w {
+			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
+		}
+	}
+	for i, m := range h[:cap(h)] {
+		if m != (Message{}) {
+			t.Fatalf("drained inbox still holds %+v in slot %d", m, i)
 		}
 	}
 }

@@ -92,6 +92,7 @@ func fillEmits(e *Engine, count int) {
 		for k := 0; k < count; k++ {
 			p.emits = append(p.emits, emitRec{time: int64(i + k*e.NumProcs())})
 		}
+		p.listFlush()
 	}
 }
 
@@ -106,13 +107,13 @@ func TestMergeEmitsDoesNotAllocate(t *testing.T) {
 	delivered := 0
 	e.SetEmitFunc(func(tm int64, proc int, payload any) { delivered++ })
 	fillEmits(e, 16)
-	e.mergeEmits(1 << 60) // warm: grows emitHeap and the emit buffers
+	e.flushTo(1 << 60) // warm: grows emitHeap, the flush list and the emit buffers
 	if delivered != 64*16 {
 		t.Fatalf("warmup delivered %d emissions, want %d", delivered, 64*16)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		fillEmits(e, 16)
-		e.mergeEmits(1 << 60)
+		e.flushTo(1 << 60)
 	})
 	if allocs != 0 {
 		t.Fatalf("mergeEmits allocates %.1f objects per window, want 0", allocs)
@@ -136,8 +137,9 @@ func TestMergeEmitsHeapOrder(t *testing.T) {
 		if i%2 == 0 {
 			p.emits = append(p.emits, emitRec{time: 101 + int64(i)})
 		}
+		p.listFlush()
 	}
-	e.mergeEmits(1 << 60)
+	e.flushTo(1 << 60)
 	want := []string{"100/0", "100/1", "100/2", "100/3", "100/4", "101/0", "103/2", "105/4"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("merge order %v, want %v", got, want)
