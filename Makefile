@@ -1,17 +1,16 @@
 # Tier-1 gate (see ROADMAP.md): gofmt cleanliness + no Sscanf in the trace
 # analysers + send<->handle pairing state in internal/obsv/causal.go only +
 # vet + full build + race-mode tests of the
-# engine and protocol core — once under the default scheduler and once with
-# SIM_FORCE_PARALLEL=1, which reruns the sim suite on the window-based
-# parallel scheduler with per-processor conflict domains (the most
-# aggressive windowing). Both sim lines run at -cpu 1,4, so the processor
-# coroutines are resumed both on a single P and by domain workers spread
-# over several OS threads. The full suite (go test ./...) adds the
+# engine and protocol core. The sim suite ranges over its own table of
+# domain layouts (one cooperative domain, pairs, one domain per processor
+# with the minimum lookahead) and runs at -cpu 1,4, so the processor
+# coroutines are resumed both inline on a single P and by domain workers
+# spread over several OS threads. The full suite (go test ./...) adds the
 # application/harness integration tests, which take ~1 min. The analysis
 # line covers the stats shards, the observability layer (including the
 # request-span reconstruction and its fuzzed degradation tests) and the
 # shastatrace CLI goldens. The allocation line reruns the malloc-budget pins
-# (hand-off, message delivery, emission merge, ready heap, batch hit, trace
+# (hand-off, message delivery, emission merge, batch hit, trace
 # emission, untraced handler, stats shards) without the race detector, whose
 # runtime allocates on its own and so cannot hold a malloc budget.
 .PHONY: check test bench bench-compare gobench
@@ -28,7 +27,6 @@ check:
 	go build ./...
 	go test -race ./internal/protocol/
 	go test -race -cpu 1,4 ./internal/sim/
-	SIM_FORCE_PARALLEL=1 go test -race -cpu 1,4 ./internal/sim/
 	go test ./internal/stats/ ./internal/obsv/ ./cmd/shastatrace/
 	go test -run 'DoesNotAllocate|NoAllocs|FormatsNothing|Amortizes' ./internal/sim/ ./internal/protocol/ ./internal/stats/
 
@@ -37,7 +35,7 @@ test:
 
 # Benchmark workflow (see PERFORMANCE.md). `make bench` runs the scale
 # experiment's 16-256 processor sweep and writes BENCH_$(LABEL).json;
-# `make bench-compare OLD=BENCH_pr15.json NEW=BENCH_local.json` gates the
+# `make bench-compare OLD=BENCH_pr21.json NEW=BENCH_local.json` gates the
 # new snapshot against the old one (>10% normalized wall-clock growth or
 # any virtual-result divergence fails). PROCS/TOPOLOGY narrow the sweep,
 # e.g. `make bench PROCS=64`.

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel auto|on|off] [-inject-race MODE]
+//	shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel] [-inject-race MODE]
 //	            [-procs N] [-topology NxG] [-snapshot FILE] [-label NAME] [-migrate]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	            [list | all | <experiment>...]
@@ -39,11 +39,12 @@
 // TRACE_<run>.jsonl protocol trace and a METRICS_<run>.json metrics snapshot
 // into DIR; inspect them with the shastatrace command (see OBSERVABILITY.md).
 //
-// -parallel selects the simulation scheduler: on runs the conservative
-// window-based parallel scheduler, off the serial one, and auto (the
-// default) picks parallel whenever the host has more than one core. The
-// two schedulers produce bit-identical results (the pdes experiment
-// verifies this); the choice only affects host wall-clock time.
+// -parallel gives the simulation engine more than one worker: the SMP
+// nodes active in a lookahead window run concurrently on a multi-core host
+// instead of one after another. Results are bit-identical either way (the
+// pdes experiment verifies this); the flag only affects host wall-clock
+// time, and is off by default because one worker is the faster setting in
+// most measured cells (PERFORMANCE.md §5).
 package main
 
 import (
@@ -62,7 +63,7 @@ func main() {
 	scale := flag.Int("scale", 1, "problem size scale factor (1 = default experiment inputs)")
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: the experiment's own set)")
 	obsvDir := flag.String("obsv", "", "directory receiving TRACE_*.jsonl traces and METRICS_*.json metrics per run")
-	parFlag := flag.String("parallel", "auto", "simulation scheduler: auto (parallel when the host has >1 core), on, off")
+	parFlag := flag.Bool("parallel", false, "run the SMP nodes of a lookahead window on concurrent workers (results identical; see PERFORMANCE.md §5)")
 	injectRace := flag.String("inject-race", "", "races experiment: run only this injection mode (none, drop-lock, reorder-publish)")
 	procs := flag.Int("procs", 0, "scale experiment: run only this processor count (0 = full 16-256 sweep)")
 	topology := flag.String("topology", "", "scale experiment: node arrangement NxG (procs per node x nodes per group; \"N\" = flat)")
@@ -72,7 +73,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments' runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit, after a garbage collection")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel auto|on|off] [-inject-race MODE] [-cpuprofile FILE] [-memprofile FILE] [list | all | <experiment>...]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel] [-inject-race MODE] [-cpuprofile FILE] [-memprofile FILE] [list | all | <experiment>...]\n\nexperiments:\n")
 		for _, e := range harness.Experiments {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
 		}
@@ -99,17 +100,7 @@ func main() {
 	if *appsFlag != "" {
 		opts.Apps = strings.Split(*appsFlag, ",")
 	}
-	switch *parFlag {
-	case "auto":
-		harness.SetParallel(runtime.GOMAXPROCS(0) > 1)
-	case "on":
-		harness.SetParallel(true)
-	case "off":
-		harness.SetParallel(false)
-	default:
-		fmt.Fprintf(os.Stderr, "shastabench: -parallel must be auto, on or off (got %q)\n", *parFlag)
-		os.Exit(2)
-	}
+	harness.SetParallel(*parFlag)
 	harness.SetMigrate(*migrateFlag)
 	if *obsvDir != "" {
 		if err := os.MkdirAll(*obsvDir, 0o755); err != nil {

@@ -44,7 +44,7 @@ type Options struct {
 	// SnapshotPath, when set, makes the scale experiment write its
 	// measurements as a shasta-bench/v1 snapshot (see PERFORMANCE.md).
 	SnapshotPath string
-	// BenchLabel names the snapshot ("pr7" for BENCH_pr7.json);
+	// BenchLabel names the snapshot ("pr21" for BENCH_pr21.json);
 	// defaults to "local".
 	BenchLabel string
 }
@@ -83,10 +83,10 @@ var Experiments = []Experiment{
 	{"anl", "SMP-Shasta vs hardware-coherent execution on one SMP (Section 4.3)", ANL},
 	{"ablate", "Design-choice ablations: line size, shared directory, fast sync, broadcast downgrades", Ablate},
 	{"profile", "Per-processor execution-time profile, measured breakdown at 8 processors", Profile},
-	{"pdes", "Serial vs parallel simulation scheduler: wall-clock comparison, bit-identity verified", Pdes},
+	{"pdes", "Simulation engine with 1 worker vs N workers: wall-clock comparison, bit-identity verified", Pdes},
 	{"sharing", "Sharing-pattern observatory: block classification and placement advice vs measured line-size delta", Sharing},
 	{"races", "Race-detector injection: clean and mis-synchronized runs, detector verdict vs ground truth", Races},
-	{"scale", "16-256 processor sweep: hierarchical topologies, scheduler wall-clock, bit-identity at scale", Scale},
+	{"scale", "16-256 processor sweep: hierarchical topologies, 1 worker vs N workers wall-clock, bit-identity at scale", Scale},
 	{"tail", "Tail-latency observatory: flat vs hierarchical topology, span-derived p99 and stage attribution", Tail},
 	{"migrate", "Online home migration: misplaced blocks re-home to their traffic, off vs on", Migrate},
 	{"contention", "Synchronization contention observatory: per-lock/barrier telemetry, flat vs hierarchical barrier", Contention},
@@ -127,21 +127,21 @@ var obsvDir string
 // dir (empty disables it). See OBSERVABILITY.md for the file formats.
 func SetObsvDir(dir string) { obsvDir = dir }
 
-// parallel, when set, runs every subsequent application on the simulator's
-// conservative window-based parallel scheduler. By contract the results —
-// cycles, statistics, traces, metrics, checksums — are bit-identical to
-// serial runs (the pdes experiment verifies this); only host wall-clock
-// time changes, so runCache is deliberately shared between the modes.
+// parallel, when set, runs every subsequent application with more than one
+// engine worker (Config.Parallel). By contract the results — cycles,
+// statistics, traces, metrics, checksums — are bit-identical to one-worker
+// runs (the pdes experiment verifies this); only host wall-clock time
+// changes, so runCache is deliberately shared between the modes.
 // Process-global like obsvDir; shastabench sets it from its -parallel flag.
 var parallel bool
 
-// SetParallel selects the parallel simulation scheduler for subsequent
-// runs (false restores the serial scheduler).
+// SetParallel selects more than one engine worker for subsequent runs
+// (false restores one worker).
 func SetParallel(on bool) { parallel = on }
 
 // migrate, when set, enables online home migration (Config.Migrate) for
 // every subsequent application run, so any experiment's tables can be
-// regenerated under migration for comparison. Unlike the scheduler choice
+// regenerated under migration for comparison. Unlike the worker count
 // this changes simulated results, so migrated runs get their own runCache
 // keys and "_mig"-suffixed observability files. Process-global like
 // parallel; shastabench sets it from its -migrate flag.

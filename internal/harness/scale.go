@@ -18,12 +18,18 @@ import (
 // scaling of the simulator itself.
 var scaleSweep = []int{16, 64, 128, 256}
 
-// scaleSchedulers are the simulator schedulers the experiment times, in
-// report order. "serial" is the reference scheduler, "fixed" the parallel
-// scheduler restricted to fixed lookahead windows (the pre-optimization
-// behaviour), "adaptive" the shipped default with per-domain window
-// extension. All three must produce bit-identical virtual results.
-var scaleSchedulers = []string{"serial", "fixed", "adaptive"}
+// scaleSchedulers returns the engine configurations the experiment times,
+// in report order: "serial" is one worker (the name predates the single
+// engine and is kept so snapshots stay comparable cell for cell), "workers"
+// is Config.Parallel, timed only when the process has a second core to put
+// a worker on — without one it is the same run. Both must produce
+// bit-identical virtual results.
+func scaleSchedulers() []string {
+	if runtime.GOMAXPROCS(0) > 1 {
+		return []string{"serial", "workers"}
+	}
+	return []string{"serial"}
+}
 
 // scaleConfig builds the cluster configuration for one processor count.
 // ppn/npg override processors-per-node and nodes-per-group when non-zero
@@ -99,13 +105,12 @@ func topologyName(cfg shasta.Config) string {
 }
 
 // Scale sweeps the simulator from 16 to 256 processors and times each run
-// under the serial scheduler, the parallel scheduler with fixed windows,
-// and the parallel scheduler with adaptive windows (the default). At 64
-// processors and above the interconnect is hierarchical (4-processor
-// nodes, 4 nodes per uplink group) unless -topology overrides it. Every
-// run bypasses the harness cache — wall-clock time is the measurement —
-// and the experiment fails if any scheduler's cycles, finish time or
-// checksum deviate (the bit-identity contract at scale).
+// with one engine worker and, on a multi-core host, with one worker per
+// active SMP node. At 64 processors and above the interconnect is
+// hierarchical (4-processor nodes, 4 nodes per uplink group) unless
+// -topology overrides it. Every run bypasses the harness cache — wall-clock
+// time is the measurement — and the experiment fails if any run's cycles,
+// finish time or checksum deviate (the bit-identity contract at scale).
 //
 // With Options.SnapshotPath set, the measurements are also written as a
 // shasta-bench/v1 snapshot for benchgate comparison; see PERFORMANCE.md.
@@ -127,8 +132,9 @@ func Scale(o Options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "host cores (GOMAXPROCS): %d\n", runtime.GOMAXPROCS(0))
 
+	scheds := scaleSchedulers()
 	tw := newTab(w)
-	fmt.Fprintln(tw, "app\tprocs\ttopology\tcycles\tserial\tfixed\tadaptive\tpar speedup\tbit-identical")
+	fmt.Fprintln(tw, "app\tprocs\ttopology\tcycles\t1 worker\tN workers\tspeedup\tbit-identical")
 	for _, name := range names {
 		f, ok := apps.Registry[name]
 		if !ok {
@@ -138,10 +144,9 @@ func Scale(o Options, w io.Writer) error {
 			cfg := scaleConfig(procs, ppn, npg)
 			walls := map[string]time.Duration{}
 			var ref apps.RunResult
-			for i, sched := range scaleSchedulers {
+			for i, sched := range scheds {
 				runCfg := cfg
-				runCfg.Parallel = sched != "serial"
-				runCfg.FixedWindows = sched == "fixed"
+				runCfg.Parallel = sched == "workers"
 				// Best of two executions: the minimum wall time is the
 				// least noise-inflated estimate, and host noise is what
 				// the 10% regression gate must see through. Identity is
@@ -163,9 +168,9 @@ func Scale(o Options, w io.Writer) error {
 					} else if rr.Result.FinishCycles != ref.Result.FinishCycles ||
 						rr.Result.ParallelCycles != ref.Result.ParallelCycles ||
 						rr.Checksum != ref.Checksum {
-						return fmt.Errorf("harness: scale: %s p%d: %s scheduler diverged from %s: "+
+						return fmt.Errorf("harness: scale: %s p%d: %s run diverged from the first %s run: "+
 							"finish %d vs %d, cycles %d vs %d, checksum %v vs %v",
-							name, procs, sched, scaleSchedulers[0],
+							name, procs, sched, scheds[0],
 							rr.Result.FinishCycles, ref.Result.FinishCycles,
 							rr.Result.ParallelCycles, ref.Result.ParallelCycles,
 							rr.Checksum, ref.Checksum)
@@ -173,10 +178,14 @@ func Scale(o Options, w io.Writer) error {
 				}
 				rec.add(fmt.Sprintf("scale/%s/p%d/%s", name, procs, sched), name, sched, runCfg, walls[sched], r)
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.2fs\t%.2fs\t%.2fs\t%.2fx\tyes\n",
+			workers, speedup := "-", "-"
+			if wall, ok := walls["workers"]; ok {
+				workers = fmt.Sprintf("%.2fs", wall.Seconds())
+				speedup = fmt.Sprintf("%.2fx", walls["serial"].Seconds()/wall.Seconds())
+			}
+			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.2fs\t%s\t%s\tyes\n",
 				name, procs, topologyName(cfg), ref.Result.ParallelCycles,
-				walls["serial"].Seconds(), walls["fixed"].Seconds(), walls["adaptive"].Seconds(),
-				walls["serial"].Seconds()/walls["adaptive"].Seconds())
+				walls["serial"].Seconds(), workers, speedup)
 		}
 	}
 	if err := tw.Flush(); err != nil {

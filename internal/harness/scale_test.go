@@ -67,7 +67,7 @@ func TestTopologyName(t *testing.T) {
 // path, and the snapshot file it writes.
 func TestScaleExperimentSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three schedulers")
+		t.Skip("times full LU runs")
 	}
 	snap := filepath.Join(t.TempDir(), "BENCH_test.json")
 	var buf bytes.Buffer
@@ -76,7 +76,7 @@ func TestScaleExperimentSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"LU", "8", "serial", "adaptive", "yes", "snapshot written"} {
+	for _, want := range []string{"LU", "8", "1 worker", "N workers", "yes", "snapshot written"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -86,16 +86,17 @@ func TestScaleExperimentSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Label != "test" || len(s.Scenarios) != 3 {
-		t.Fatalf("snapshot label %q with %d scenarios, want test/3", s.Label, len(s.Scenarios))
+	scheds := scaleSchedulers()
+	if s.Label != "test" || len(s.Scenarios) != len(scheds) {
+		t.Fatalf("snapshot label %q with %d scenarios, want test/%d", s.Label, len(s.Scenarios), len(scheds))
 	}
-	for _, sc := range s.Scenarios {
-		if sc.WallNs <= 0 || sc.Cycles <= 0 || sc.Procs != 8 {
+	for i, sc := range s.Scenarios {
+		if sc.WallNs <= 0 || sc.Cycles <= 0 || sc.Procs != 8 || sc.Name != "scale/LU/p8/"+scheds[i] {
 			t.Errorf("implausible scenario %+v", sc)
 		}
-	}
-	if s.Scenarios[0].Cycles != s.Scenarios[1].Cycles || s.Scenarios[0].Cycles != s.Scenarios[2].Cycles {
-		t.Error("schedulers disagree on cycles in snapshot")
+		if sc.Cycles != s.Scenarios[0].Cycles {
+			t.Errorf("%s disagrees with %s on cycles in snapshot", sc.Name, s.Scenarios[0].Name)
+		}
 	}
 }
 

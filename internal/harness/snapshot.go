@@ -27,7 +27,7 @@ const BenchSchema = "shasta-bench/v1"
 type BenchSnapshot struct {
 	Schema string `json:"schema"`
 	// Label names the snapshot, conventionally the PR it belongs to
-	// ("pr7" for BENCH_pr7.json).
+	// ("pr21" for BENCH_pr21.json).
 	Label   string `json:"label"`
 	Created string `json:"created"` // RFC 3339
 	// Host metadata, recorded for the reader; not used in comparisons.
@@ -44,20 +44,21 @@ type BenchSnapshot struct {
 
 // BenchScenario is one timed simulator run.
 type BenchScenario struct {
-	// Name is the stable comparison key, e.g. "scale/LU/p64/adaptive".
+	// Name is the stable comparison key, e.g. "scale/LU/p64/serial".
 	Name          string `json:"name"`
 	App           string `json:"app"`
 	Procs         int    `json:"procs"`
 	ProcsPerNode  int    `json:"procs_per_node"`
 	NodesPerGroup int    `json:"nodes_per_group"`
 	Clustering    int    `json:"clustering"`
-	// Scheduler is "serial", "fixed" (parallel, fixed windows) or
-	// "adaptive" (parallel, adaptive windows — the shipped default).
+	// Scheduler is "serial" (one engine worker) or "workers"
+	// (Config.Parallel on a multi-core host); snapshots recorded before
+	// the engines were unified also carry "fixed" and "adaptive".
 	Scheduler string `json:"scheduler"`
 	// WallNs is host wall-clock time for the run.
 	WallNs int64 `json:"wall_ns"`
 	// Cycles and Checksum pin the virtual result: they must be identical
-	// across schedulers and across commits unless the simulated machine
+	// across worker counts and across commits unless the simulated machine
 	// deliberately changed.
 	Cycles   int64   `json:"cycles"`
 	Checksum float64 `json:"checksum"`
@@ -100,7 +101,7 @@ func newSnapshotRecorder(o Options) *snapshotRecorder {
 }
 
 // add records one timed run of app under cfg as the scenario called name. An
-// empty sched means the harness-wide scheduler choice (shastabench
+// empty sched means the harness-wide worker choice (shastabench
 // -parallel).
 func (r *snapshotRecorder) add(name, app, sched string, cfg shasta.Config, wall time.Duration, res apps.RunResult) {
 	if r == nil {
@@ -109,7 +110,7 @@ func (r *snapshotRecorder) add(name, app, sched string, cfg shasta.Config, wall 
 	if sched == "" {
 		sched = "serial"
 		if parallel {
-			sched = "adaptive"
+			sched = "workers"
 		}
 	}
 	ppn := cfg.ProcsPerNode

@@ -25,8 +25,8 @@
 // (Params.UplinkBytesPerKCycle), and each node's link may be split into
 // parallel lanes (Params.LinkShards) selected by destination node. All link
 // state stays owned by the sending node's processors, so the hierarchy adds
-// no cross-domain coupling and the parallel scheduler's determinism is
-// preserved.
+// no cross-domain coupling and the engine's determinism across worker
+// counts is preserved.
 package memchan
 
 import (
@@ -174,7 +174,7 @@ func DefaultParams() Params {
 
 // Lookahead returns the minimum latency of any message under these
 // parameters — the wire latency alone, before transfer time. It bounds the
-// conservative parallel scheduler's window width (sim.Engine.Lookahead):
+// engine's window width (sim.Engine.Lookahead):
 // no message sent at time t can arrive before t+Lookahead. Embedders whose
 // concurrency domains only ever exchange inter-node messages may use the
 // larger RemoteWire bound instead. Uplink latency only adds to RemoteWire,
@@ -196,11 +196,11 @@ func (p Params) shards() int {
 
 // Network computes message latencies and models per-node Memory Channel
 // link occupancy. It is used from inside simulator processor contexts.
-// Under the parallel scheduler, processors of different nodes may call Send
-// concurrently: all mutable state — link lanes and diagnostic counters — is
+// With engine workers (sim.Engine.Parallel), processors of different nodes
+// may call Send concurrently: all mutable state — link lanes and diagnostic counters — is
 // sharded per node and only ever touched by the owning node's processors
 // (one conflict domain), so no synchronization is needed and the reported
-// values match the serial scheduler's exactly.
+// values match a one-worker run's exactly.
 type Network struct {
 	topo Topology
 	par  Params

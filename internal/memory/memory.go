@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Addr is a virtual address in the shared heap.
@@ -90,8 +91,10 @@ const PageSize = 4096
 // groups see the same virtual address space.
 type Layout struct {
 	lineSize int
-	heapSize Addr
-	brk      Addr
+	// lineShift is log2(lineSize): the per-access line lookup is a shift.
+	lineShift uint
+	heapSize  Addr
+	brk       Addr
 	// blockBase[l] is the line index of the first line of the block
 	// containing line l; blockLines[b] (indexed by a block's first line)
 	// is the block's length in lines.
@@ -111,9 +114,11 @@ type Layout struct {
 }
 
 // NewLayout creates a layout with the given line size (which must be a
-// multiple of 8) and total heap capacity in bytes.
+// power of two, at least 8) and total heap capacity in bytes (a multiple of
+// it). protocol.Config.Validate reports both conditions as errors before a
+// configuration gets here.
 func NewLayout(lineSize int, heapSize int64) *Layout {
-	if lineSize < 8 || lineSize%8 != 0 {
+	if lineSize < 8 || lineSize&(lineSize-1) != 0 {
 		panic(fmt.Sprintf("memory: invalid line size %d", lineSize))
 	}
 	if heapSize%int64(lineSize) != 0 {
@@ -122,6 +127,7 @@ func NewLayout(lineSize int, heapSize int64) *Layout {
 	nLines := heapSize / int64(lineSize)
 	l := &Layout{
 		lineSize:   lineSize,
+		lineShift:  uint(bits.TrailingZeros(uint(lineSize))),
 		heapSize:   Addr(heapSize),
 		blockBase:  make([]int32, nLines),
 		blockLines: make([]int32, nLines),
@@ -187,7 +193,7 @@ func (l *Layout) Alloc(size int64, blockSize int) (Addr, error) {
 			total, int64(l.heapSize)-int64(start))
 	}
 	l.brk += Addr(total)
-	firstLine := int(start) / l.lineSize
+	firstLine := l.LineOf(start)
 	for li := firstLine; li < firstLine+int(total)/l.lineSize; li++ {
 		l.allocated[li] = true
 	}
@@ -202,7 +208,7 @@ func (l *Layout) Alloc(size int64, blockSize int) (Addr, error) {
 }
 
 // LineOf returns the index of the line containing addr.
-func (l *Layout) LineOf(addr Addr) int { return int(addr) / l.lineSize }
+func (l *Layout) LineOf(addr Addr) int { return int(addr >> l.lineShift) }
 
 // LineAddr returns the starting address of line index li.
 func (l *Layout) LineAddr(li int) Addr { return Addr(li * l.lineSize) }
@@ -226,7 +232,7 @@ func (l *Layout) InHeap(addr Addr, size int) bool {
 	if addr < 0 || addr+Addr(size) > l.brk {
 		return false
 	}
-	return l.allocated[int(addr)/l.lineSize] && l.allocated[(int(addr)+size-1)/l.lineSize]
+	return l.allocated[addr>>l.lineShift] && l.allocated[(addr+Addr(size)-1)>>l.lineShift]
 }
 
 // PageOf returns the virtual page number of addr, used for home assignment.
@@ -236,9 +242,9 @@ func (l *Layout) PageOf(addr Addr) int { return int(addr) / PageSize }
 // candidate for online home migration. Called at allocation time; the flag
 // is immutable once the run starts.
 func (l *Layout) SetMigratable(addr Addr, size int64, on bool) {
-	first := int(addr) / l.lineSize
-	last := (int64(addr) + size - 1) / int64(l.lineSize)
-	for li := first; li <= int(last); li++ {
+	first := l.LineOf(addr)
+	last := l.LineOf(addr + Addr(size) - 1)
+	for li := first; li <= last; li++ {
 		l.migratable[l.blockBase[li]] = on
 	}
 }

@@ -20,8 +20,8 @@ import "repro/internal/stats"
 // the protocol serializes per block, and every handshake or forward crosses
 // SMP nodes (a migration target is always on a different node than the
 // deciding home), so the messages carry at least the interconnect's
-// remote-wire latency — the parallel scheduler's lookahead bound. Serial
-// and parallel runs therefore migrate identically.
+// remote-wire latency — the engine's lookahead bound. One-worker and
+// parallel runs therefore migrate identically.
 //
 // Liveness: a tombstone always points one step along the block's migration
 // chain, whose final element is the live home; a processor that re-becomes

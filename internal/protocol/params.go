@@ -108,24 +108,13 @@ type Config struct {
 	// access hits, and synchronization uses fast hardware primitives.
 	// Used for the paper's ANL-macro efficiency comparison.
 	Hardware bool
-	// Parallel runs the simulation on the engine's conservative
-	// window-based parallel scheduler: processors of different SMP nodes
-	// execute concurrently on real goroutines within lookahead windows
-	// bounded by the inter-node wire latency. Results — cycles,
-	// statistics, traces, metrics — are bit-identical to the serial
-	// scheduler's; only host wall-clock time changes. The engine falls
-	// back to serial when the run has a single conflict domain (one node,
-	// or Hardware mode's global sharing group).
+	// Parallel asks the engine for more than one worker: within a
+	// lookahead window (the inter-node wire latency) the processors of
+	// different SMP nodes execute concurrently on real goroutines when
+	// the host process has a second core to run them on, instead of one
+	// node after another. Results — cycles, statistics, traces, metrics
+	// — are identical either way; only host wall-clock time changes.
 	Parallel bool
-	// FixedWindows forces the parallel scheduler's original fixed
-	// lookahead windows, disabling the adaptive per-domain window
-	// extension. Results are bit-identical either way; the knob exists so
-	// benchmarks can measure what the adaptive windows buy.
-	FixedWindows bool
-	// WindowCap bounds how far an adaptive window may run ahead of a
-	// domain's own virtual time, in cycles. 0 selects the engine default
-	// (64 lookaheads). Only meaningful with Parallel and not FixedWindows.
-	WindowCap int64
 	// ForceSMPChecks makes the inline checks use the SMP-Shasta code
 	// sequences even when Clustering is 1. The Table 1 checking-overhead
 	// experiment measures SMP-Shasta checks on a single processor.
@@ -240,6 +229,13 @@ func (c Config) Validate() error {
 	if c.NumProcs > c.Clustering && c.NumProcs%c.Clustering != 0 {
 		return fmt.Errorf("protocol: %d processors not divisible into groups of %d",
 			c.NumProcs, c.Clustering)
+	}
+	if c.LineSize < 8 || c.LineSize&(c.LineSize-1) != 0 {
+		return fmt.Errorf("protocol: line size %d is not a power of two of at least 8 bytes", c.LineSize)
+	}
+	if c.HeapBytes <= 0 || c.HeapBytes%int64(c.LineSize) != 0 {
+		return fmt.Errorf("protocol: heap size %d is not a positive multiple of the %d-byte line size",
+			c.HeapBytes, c.LineSize)
 	}
 	if c.Migrate && c.ShareDirectory {
 		return fmt.Errorf("protocol: Migrate is incompatible with ShareDirectory" +

@@ -268,7 +268,7 @@ func (p *Proc) sendGrant(id, dst, hops int) {
 //
 // The reset runs through a simulator fence, which observes every
 // processor's counters exactly as of the fence's cut — this call's
-// position plus one network lookahead, identical under either scheduler
+// position plus one network lookahead, identical at any worker count
 // (see sim.Proc.Fence). Because all counters are additive, the reset does
 // not clear them in place; it records the observed values as per-processor
 // baselines that System.Run subtracts once at the end of the run. Live

@@ -256,7 +256,7 @@ func New(cfg Config) *System {
 		s.procs[i] = p
 	}
 
-	// Parallel-scheduler wiring. Conflict domains are the units that may
+	// Scheduler wiring. Conflict domains are the units that may
 	// touch shared simulator-side state at sub-lookahead latencies: the
 	// processors of one SMP node (link state, intra-node queues) unioned
 	// with those of one sharing group (memory image, miss and downgrade
@@ -267,8 +267,6 @@ func New(cfg Config) *System {
 	// Params.Lookahead bound) a valid lookahead.
 	s.eng.Parallel = cfg.Parallel
 	s.eng.Lookahead = cfg.Net.RemoteWire
-	s.eng.FixedWindows = cfg.FixedWindows
-	s.eng.WindowCap = cfg.WindowCap
 	s.eng.SetDomains(conflictDomains(topo, groupSize, cfg.NumProcs))
 	return s
 }

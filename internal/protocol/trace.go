@@ -153,8 +153,8 @@ func (s *System) SetTracer(tr Tracer) {
 // is delivered — on the scheduler's control thread once the virtual-time
 // floor passes it, in deterministic (Time, Proc, program order) order — and
 // emitTrace then takes the event from the front of the FIFO, assigning its
-// Seq. The tracer therefore observes an identical event sequence under the
-// serial and parallel schedulers, and a traced event is never boxed. Sites
+// Seq. The tracer therefore observes an identical event sequence with one
+// engine worker or many, and a traced event is never boxed. Sites
 // on the hot path, or whose fields cost something to gather (blockState),
 // test p.sys.tracer themselves first.
 func (p *Proc) trace(op, msg string, base int, f TraceFields) {

@@ -1,9 +1,10 @@
 package sim
 
-// Tests for the conservative parallel scheduler and the engine's failure
-// paths: serial-vs-parallel equivalence fuzzing, engine reuse, destination
-// validation, goroutine cleanup on failed runs, lookahead enforcement,
-// serial fallback, and position-exact fences.
+// Tests that results do not depend on the domain layout or the worker count,
+// and for the engine's failure paths: layout equivalence fuzzing against the
+// one-domain reference, engine reuse, destination validation, goroutine
+// accounting, lookahead enforcement, degenerate layouts, and position-exact
+// fences.
 
 import (
 	"errors"
@@ -18,16 +19,6 @@ import (
 	"repro/internal/stats"
 )
 
-// pairDomains labels processors into two-member conflict domains:
-// {0,1}, {2,3}, ...
-func pairDomains(n int) []int {
-	d := make([]int, n)
-	for i := range d {
-		d[i] = i / 2
-	}
-	return d
-}
-
 // fenceObs is one fence observation: the caller's k-th fence saw processor
 // q's time breakdown as at.
 type fenceObs struct {
@@ -37,11 +28,11 @@ type fenceObs struct {
 }
 
 // runResult captures everything observable about a run, for equivalence
-// comparisons between schedulers. fences holds every observation each
+// comparisons between layouts. fences holds every observation each
 // caller's fences made; fence observations land at the fence's cut
-// (registration time + lookahead) and are scheduler-exact there (see
-// sim.Proc.Fence), so the full log must agree between engines configured
-// with the same lookahead.
+// (registration time + lookahead) and are exact there (see sim.Proc.Fence),
+// so the full log must agree between engines configured with the same
+// lookahead.
 type runResult struct {
 	finish int64
 	timeBy [][stats.NumTimeCategories]int64
@@ -51,13 +42,13 @@ type runResult struct {
 	fences [][]fenceObs
 }
 
-// runRandomProgram executes a pseudo-random program (advances, sends with
-// scheduler-safe latencies, polls, emissions, fences) on the engine and
-// returns the observable results. The program is a pure function of seed
-// and processor ID, so two engines given the same seed run the same
-// program. lookahead must match the engine's cross-domain bound and
-// domains must be the pairDomains layout.
-func runRandomProgram(e *Engine, seed int64, lookahead int64) runResult {
+// runRandomProgram executes a pseudo-random program (advances, sends,
+// polls, emissions, fences) on the engine and returns the observable
+// results. The program is a pure function of seed, processor ID and the
+// layout l it is written for — sends between l's domains carry at least l's
+// lookahead — so two engines given the same seed and l run the same program;
+// e must be laid out as l or coarser, with l's lookahead.
+func runRandomProgram(e *Engine, seed int64, l layout) runResult {
 	n := e.NumProcs()
 	res := runResult{
 		timeBy: make([][stats.NumTimeCategories]int64, n),
@@ -82,9 +73,9 @@ func runRandomProgram(e *Engine, seed int64, lookahead int64) runResult {
 			case 2:
 				dst := rng.Intn(n)
 				lat := int64(rng.Intn(40))
-				if dst/2 != p.ID/2 {
+				if l.domain(dst) != l.domain(p.ID) {
 					// Cross-domain: respect the lookahead bound.
-					lat += lookahead
+					lat += l.lookahead
 				}
 				p.Send(dst, lat, fmt.Sprintf("m%d.%d", p.ID, step))
 			case 3:
@@ -128,7 +119,7 @@ func runRandomProgram(e *Engine, seed int64, lookahead int64) runResult {
 }
 
 // checkFenceSanity verifies the invariants every fence observation must
-// satisfy within a single run, regardless of scheduler: successive fences
+// satisfy within a single run, regardless of layout: successive fences
 // by the same caller observe nondecreasing counters for every processor
 // (counters are append-only), and no observation exceeds the processor's
 // final counters.
@@ -155,7 +146,7 @@ func checkFenceSanity(t *testing.T, label string, res runResult) {
 
 // compareRuns requires two runs to be observably identical, including every
 // fence observation of every processor — the fence contract makes those
-// scheduler-exact whenever the two engines share a lookahead.
+// exact whenever the two engines share a lookahead.
 func compareRuns(t *testing.T, label string, s, p runResult) {
 	t.Helper()
 	if s.finish != p.finish {
@@ -180,56 +171,45 @@ func compareRuns(t *testing.T, label string, s, p runResult) {
 	}
 }
 
-// TestSerialParallelEquivalenceFuzz runs pseudo-random programs under both
-// schedulers and requires identical finish times, time breakdowns, peak
-// inbox depths, receive logs, emission streams and fence observations —
-// the programs place fences at arbitrary positions, not synchronization
-// points, and the deferred-cut contract makes even those observations
-// scheduler-exact. Both engines carry the same lookahead (the fence cut is
-// registration time + lookahead, so it is part of the semantics); only
-// Parallel differs. Each run's fence log must also satisfy the append-only
+// reference is the layout a run laid out as l must equal: every processor
+// in one domain, with l's lookahead (the fence cut is registration time +
+// lookahead, so it is part of the semantics).
+func reference(l layout) layout { return layout{lookahead: l.lookahead} }
+
+// TestSerialParallelEquivalenceFuzz runs pseudo-random programs under every
+// layout and requires finish times, time breakdowns, peak inbox depths,
+// receive logs, emission streams and fence observations identical to the
+// one-domain reference's — the programs place fences at arbitrary positions,
+// not synchronization points, and the deferred-cut contract makes even those
+// observations exact. Each run's fence log must also satisfy the append-only
 // invariants (checkFenceSanity).
 func TestSerialParallelEquivalenceFuzz(t *testing.T) {
 	const procs = 6
-	const lookahead = 50
-	for seed := int64(0); seed < 30; seed++ {
-		se := NewEngine(procs)
-		se.Lookahead = lookahead
-		se.SetDomains(pairDomains(procs))
-		sr := runRandomProgram(se, seed, lookahead)
-
-		pe := NewEngine(procs)
-		pe.Parallel = true
-		pe.Lookahead = lookahead
-		pe.SetDomains(pairDomains(procs))
-		pr := runRandomProgram(pe, seed, lookahead)
-
-		label := fmt.Sprintf("seed %d", seed)
-		checkFenceSanity(t, label+" serial", sr)
-		checkFenceSanity(t, label+" parallel", pr)
-		compareRuns(t, label, sr, pr)
-		if t.Failed() {
-			t.FailNow()
+	eachLayout(t, func(t *testing.T, l layout) {
+		for seed := int64(0); seed < 30; seed++ {
+			want := runRandomProgram(newTestEngine(procs, reference(l)), seed, l)
+			got := runRandomProgram(newTestEngine(procs, l), seed, l)
+			label := fmt.Sprintf("seed %d", seed)
+			checkFenceSanity(t, label+" reference", want)
+			checkFenceSanity(t, label, got)
+			compareRuns(t, label, want, got)
+			if t.Failed() {
+				t.FailNow()
+			}
 		}
-	}
+	})
 }
 
 // TestEngineReuseIsReproducible reruns the same program on the same engine
 // and requires identical results — the regression test for Run leaving
 // stale per-run state (historically, the global send sequence counter)
-// behind. Exercised under both schedulers.
+// behind.
 func TestEngineReuseIsReproducible(t *testing.T) {
-	const procs = 4
-	const lookahead = 50
-	for _, parallel := range []bool{false, true} {
-		e := NewEngine(procs)
-		e.Parallel = parallel
-		e.Lookahead = lookahead
-		e.SetDomains(pairDomains(procs))
-		first := runRandomProgram(e, 7, lookahead)
-		second := runRandomProgram(e, 7, lookahead)
-		compareRuns(t, fmt.Sprintf("parallel=%v rerun", parallel), first, second)
-	}
+	eachLayout(t, func(t *testing.T, l layout) {
+		e := newTestEngine(4, l)
+		first := runRandomProgram(e, 7, l)
+		compareRuns(t, "rerun", first, runRandomProgram(e, 7, l))
+	})
 }
 
 // TestSendInvalidDestinationPanics checks that Send and SendAt reject
@@ -248,56 +228,56 @@ func TestSendInvalidDestinationPanics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("expected panic on invalid destination")
-				}
-				msg := fmt.Sprint(r)
-				for _, want := range []string{
-					"sim:",
-					fmt.Sprintf("invalid destination %d", tc.dst),
-					"(NumProcs 2)",
-				} {
-					if !strings.Contains(msg, want) {
-						t.Fatalf("panic %q does not mention %q", msg, want)
+			eachLayout(t, func(t *testing.T, l layout) {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatal("expected panic on invalid destination")
 					}
-				}
-			}()
-			e := newTestEngine(2)
-			e.Run(func(p *Proc) {
-				if p.ID != 0 {
-					return
-				}
-				if tc.sendAt {
-					p.SendAt(tc.dst, p.Now()+10, "x")
-				} else {
-					p.Send(tc.dst, 10, "x")
-				}
+					msg := fmt.Sprint(r)
+					for _, want := range []string{
+						"sim:",
+						fmt.Sprintf("invalid destination %d", tc.dst),
+						"(NumProcs 2)",
+					} {
+						if !strings.Contains(msg, want) {
+							t.Fatalf("panic %q does not mention %q", msg, want)
+						}
+					}
+				}()
+				newTestEngine(2, l).Run(func(p *Proc) {
+					if p.ID != 0 {
+						return
+					}
+					if tc.sendAt {
+						p.SendAt(tc.dst, p.Now()+10, "x")
+					} else {
+						p.Send(tc.dst, 10, "x")
+					}
+				})
 			})
 		})
 	}
 }
 
-// failedRun runs body on a 4-processor, two-domain engine under the chosen
-// scheduler and returns what Run panicked with (nil if it returned).
+// failedRun runs body on a 4-processor, two-domain engine with one worker
+// or several and returns what Run panicked with (nil if it returned).
 func failedRun(parallel bool, emit func(int64, int, any), body func(*Proc)) (r any) {
 	defer func() { r = recover() }()
-	e := NewEngine(4)
-	e.Parallel = parallel
-	e.Lookahead = 50
-	e.SetDomains(pairDomains(4))
+	e := newTestEngine(4, layout{per: 2, lookahead: 50, parallel: parallel})
 	e.SetEmitFunc(emit)
 	e.Run(body)
 	return nil
 }
 
 // TestFailedRunReleasesGoroutines checks that a failed run leaves no
-// processor context behind, under both schedulers and for every way a run
-// can fail: a deadlock, a body panic, and a panic on the scheduler's own
-// control flow — in the emit function or in a deferred fence callback. The
-// last two are not processor failures, so their panic value must reach the
-// caller as it was raised, not wrapped as "processor N panicked".
+// processor context behind, with one worker and with several, for every way
+// a run can fail: a deadlock, a body panic, and a panic on the scheduler's
+// own control flow — in the emit function or in a deferred fence callback.
+// The last two are not processor failures, so their panic value must reach
+// the caller as it was raised, not wrapped as "processor N panicked". The
+// same counting shows that a one-worker run is the caller's goroutine and
+// the processor coroutines, nothing else.
 func TestFailedRunReleasesGoroutines(t *testing.T) {
 	errEmit, errFence := errors.New("emit boom"), errors.New("fence boom")
 	park := func(p *Proc) {
@@ -361,61 +341,69 @@ func TestFailedRunReleasesGoroutines(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestLookaheadViolationPanics checks that a cross-domain send arriving
-// inside the current window is rejected rather than silently reordered.
-func TestLookaheadViolationPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected lookahead violation panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "lookahead violation") {
-			t.Fatalf("panic %q does not mention the lookahead violation", r)
-		}
-	}()
-	e := NewEngine(2)
-	e.Parallel = true
-	e.Lookahead = 100
-	e.SetDomains([]int{0, 1})
-	e.Run(func(p *Proc) {
-		if p.ID == 0 {
-			p.Send(1, 10, "too soon") // arrives at 10, inside [0, 100)
-		} else {
-			p.WaitRecv(stats.Read, "x")
+	t.Run("one-worker-starts-none", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		var during [4]int
+		failedRun(false, nil, func(p *Proc) {
+			work(p)
+			during[p.ID] = runtime.NumGoroutine() // windows of two active domains
+			work(p)
+		})
+		for id, n := range during {
+			if n != before+len(during) {
+				t.Errorf("proc %d saw %d goroutines mid-run, want the %d before plus %d coroutines",
+					id, n, before, len(during))
+			}
 		}
 	})
 }
 
-// TestSerialFallback checks the silent fallbacks to the serial scheduler:
-// zero lookahead and a single conflict domain must both complete and match
-// the results of a plain serial engine with the same lookahead (the
-// lookahead is part of the fence semantics, so each fallback is compared
-// against a serial reference sharing its value).
-func TestSerialFallback(t *testing.T) {
-	const procs = 4
+// TestLookaheadViolationPanics checks that a cross-domain send arriving
+// inside the current window is rejected rather than silently reordered,
+// whether the window's domains run inline or on workers.
+func TestLookaheadViolationPanics(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("parallel=%v: expected lookahead violation panic", parallel)
+				}
+				if !strings.Contains(fmt.Sprint(r), "lookahead violation") {
+					t.Fatalf("parallel=%v: panic %q does not mention the lookahead violation", parallel, r)
+				}
+			}()
+			e := newTestEngine(2, layout{per: 1, lookahead: 100, parallel: parallel})
+			e.Run(func(p *Proc) {
+				if p.ID == 0 {
+					p.Send(1, 10, "too soon") // arrives at 10, inside [0, 100)
+				} else {
+					p.WaitRecv(stats.Read, "x")
+				}
+			})
+		}()
+	}
+}
 
-	zeroRef := NewEngine(procs)
-	zeroRef.SetDomains(pairDomains(procs))
-	zeroWant := runRandomProgram(zeroRef, 3, 0)
-
-	zeroL := NewEngine(procs)
-	zeroL.Parallel = true
-	zeroL.Lookahead = 0
-	zeroL.SetDomains(pairDomains(procs))
-	compareRuns(t, "zero lookahead", zeroWant, runRandomProgram(zeroL, 3, 0))
-
-	lRef := NewEngine(procs)
-	lRef.Lookahead = 50
-	lRef.SetDomains([]int{0, 0, 0, 0})
-	lWant := runRandomProgram(lRef, 3, 0)
-
-	oneDomain := NewEngine(procs)
-	oneDomain.Parallel = true
-	oneDomain.Lookahead = 50
-	oneDomain.SetDomains([]int{0, 0, 0, 0})
-	compareRuns(t, "single domain", lWant, runRandomProgram(oneDomain, 3, 0))
+// TestDegenerateLayoutsRunInOneWindow checks that inputs with nothing to
+// window collapse instead of forking: zero lookahead (whatever the labels)
+// and a single conflict domain, with or without Parallel, run a fence-free
+// program as one window and match the plain one-domain engine with the same
+// lookahead on the fuzz program.
+func TestDegenerateLayoutsRunInOneWindow(t *testing.T) {
+	for _, l := range []layout{
+		{name: "zero-lookahead", per: 2},
+		{name: "zero-lookahead-parallel", per: 2, parallel: true},
+		{name: "one-domain-parallel", lookahead: 50, parallel: true},
+	} {
+		e := newTestEngine(4, l)
+		want := runRandomProgram(newTestEngine(4, reference(l)), 3, reference(l))
+		compareRuns(t, l.name, want, runRandomProgram(e, 3, reference(l)))
+		e.Run(leapfrog(10))
+		if e.WindowsRun() != 1 {
+			t.Errorf("%s: %d windows, want 1", l.name, e.WindowsRun())
+		}
+	}
 }
 
 // TestFenceObservesCutExactly pins the fence cut to the charge level: a
@@ -423,14 +411,15 @@ func TestSerialFallback(t *testing.T) {
 // 220, so of the other processor's charges — a 150-cycle wake lump, then
 // sync advances starting at 150, 210 and 260 — it must include exactly the
 // ones starting before 220 (150 + 60 + 50 = 260 sync cycles), even though
-// the last included advance runs past the cut, and even though under the
-// parallel scheduler the other processor races ahead in another domain.
+// the last included advance runs past the cut, and even though with workers
+// the other processor races ahead in another domain.
 func TestFenceObservesCutExactly(t *testing.T) {
-	run := func(parallel bool) int64 {
-		e := NewEngine(2)
-		e.Parallel = parallel
-		e.Lookahead = 100
-		e.SetDomains([]int{0, 1})
+	for _, l := range []layout{
+		{name: "one-domain", lookahead: 100},
+		{name: "two-domains-inline", per: 1, lookahead: 100},
+		{name: "two-domains-workers", per: 1, lookahead: 100, parallel: true},
+	} {
+		e := newTestEngine(2, l)
 		st := stats.NewRun(2)
 		for i := 0; i < 2; i++ {
 			e.Proc(i).Stats = &st.Procs[i]
@@ -453,15 +442,39 @@ func TestFenceObservesCutExactly(t *testing.T) {
 			})
 		})
 		if got := st.Procs[1].TimeBy[stats.Sync]; got != 300 {
-			t.Fatalf("proc 1 final sync = %d, want 300", got)
+			t.Fatalf("%s: proc 1 final sync = %d, want 300", l.name, got)
 		}
-		return seen
+		if seen != 260 {
+			t.Fatalf("%s: fence saw sync=%d, want 260 (charges starting before the cut at 220)", l.name, seen)
+		}
 	}
-	serial, parallel := run(false), run(true)
-	if serial != 260 {
-		t.Fatalf("serial fence saw sync=%d, want 260 (charges starting before the cut at 220)", serial)
+}
+
+// TestFenceStopsLoneDomainAtTheCut covers the one place a window's end moves
+// while it runs. A lone domain's window is unbounded, so when processor 0
+// registers a fence at 100 (cut 150, lookahead 50) its three peers, advancing
+// 7 cycles at a time, are scheduled far beyond the cut unless the fence
+// lowers the window's end: the callback must see exactly their 22 charges
+// starting before 150 (0, 7, ..., 147), not the 100 of the whole run.
+func TestFenceStopsLoneDomainAtTheCut(t *testing.T) {
+	e := newTestEngine(4, layouts[0])
+	st := stats.NewRun(4)
+	for i := 0; i < 4; i++ {
+		e.Proc(i).Stats = &st.Procs[i]
 	}
-	if parallel != serial {
-		t.Fatalf("parallel fence saw sync=%d, serial saw %d", parallel, serial)
+	var seen [4]int64
+	e.Run(func(p *Proc) {
+		if p.ID == 0 {
+			p.Advance(stats.Task, 100)
+			p.Fence(func(q int, at *stats.Proc) { seen[q] = at.TimeBy[stats.Task] })
+			p.Advance(stats.Task, 500) // starts at 100 < 150: included
+			return
+		}
+		for i := 0; i < 100; i++ {
+			p.Advance(stats.Task, 7)
+		}
+	})
+	if want := [4]int64{600, 22 * 7, 22 * 7, 22 * 7}; seen != want {
+		t.Fatalf("fence at cut 150 saw task cycles %v, want %v", seen, want)
 	}
 }

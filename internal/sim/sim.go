@@ -3,22 +3,22 @@
 //
 // Each simulated processor runs its program as a runtime coroutine
 // (iter.Pull) that the scheduler's own control flow resumes for one slice at
-// a time. Under the default serial scheduler execution is strictly
-// cooperative: exactly one processor context executes at any instant, and the
-// scheduler always resumes the runnable processor with the smallest virtual
-// time (ties broken by processor ID). Processors advance their own virtual
-// clocks explicitly and exchange timestamped messages; a message sent at
-// time t with latency d is visible to the destination no earlier than t+d.
+// a time. Processors advance their own virtual clocks explicitly and exchange
+// timestamped messages; a message sent at time t with latency d is visible to
+// the destination no earlier than t+d.
 //
-// The engine also offers a conservative parallel scheduler (see
-// parallel.go): when every cross-domain message has a minimum latency L
-// (the Lookahead), all processors whose next-run time falls inside the
-// window [T, T+L) can execute concurrently on real goroutines without
-// violating causality — no message sent inside the window can arrive inside
-// it. Message delivery order, statistics, emission order and inbox-depth
-// accounting are all defined in terms of virtual time with deterministic
-// tie-breaks, so the same program and configuration produce bit-identical
-// results under either scheduler.
+// Processors are grouped into conflict domains (SetDomains; the embedder's
+// SMP nodes). A domain is scheduled cooperatively: exactly one of its
+// processors executes at any instant, always the runnable one with the
+// smallest virtual time (ties broken by processor ID). Domains only talk by
+// messages of at least Engine.Lookahead (L) cycles, so the run proceeds in
+// windows [T, T+L) — no message sent inside a window can arrive inside it —
+// and the domains of one window can execute in any order, or concurrently on
+// real goroutines (Engine.Parallel), without violating causality. Message
+// delivery order, statistics, emission order and inbox-depth accounting are
+// all defined in terms of virtual time with deterministic tie-breaks, so the
+// same program and configuration produce bit-identical results however the
+// processors are grouped and however many workers run them (see parallel.go).
 //
 // The engine is the substitute for the paper's physical cluster of four
 // AlphaServer 4100s: virtual clocks play the role of the 300 MHz 21164
@@ -46,7 +46,7 @@ type Message struct {
 	// sendTime and srcSeq make delivery order a pure function of virtual
 	// time: messages are ordered by (Arrival, sendTime, Src, srcSeq), a
 	// total order (srcSeq is a per-sender counter) that does not depend on
-	// which scheduler interleaved the sends.
+	// how the windows interleaved the sends.
 	sendTime int64
 	srcSeq   uint64
 	Payload  any
@@ -71,8 +71,8 @@ type emitRec struct {
 
 // depthEvent tracks inbox occupancy in virtual time: a message occupies its
 // destination's inbox from its send time until the destination pops it.
-// Both schedulers record the same (time, kind) multiset, so the peak depth
-// is scheduler-independent.
+// Every schedule records the same (time, kind) multiset, so the peak depth
+// is schedule-independent.
 type depthEvent struct {
 	time int64
 	pop  bool
@@ -80,8 +80,7 @@ type depthEvent struct {
 
 // Proc is one simulated processor context. All methods must be called only
 // from the processor's own body function (the engine enforces single
-// ownership: cooperative under the serial scheduler, per-conflict-domain
-// under the parallel one).
+// ownership per conflict domain).
 type Proc struct {
 	// ID is the processor's index in [0, NumProcs).
 	ID int
@@ -108,10 +107,10 @@ type Proc struct {
 	// sendSeq counts this processor's sends; it is the final tie-break of
 	// message delivery order and resets on every Run.
 	sendSeq uint64
-	// domain is the processor's conflict-domain index (parallel scheduler).
+	// domain is the processor's conflict-domain index.
 	domain int
-	// outbox stages cross-domain sends during a parallel window; the
-	// coordinator merges them at the window boundary.
+	// outbox stages cross-domain sends during a window; the coordinator
+	// merges them at the window boundary.
 	outbox []Message
 	// emits buffers Emit calls until the global virtual-time floor passes
 	// them; emitStart is the already-flushed prefix.
@@ -123,8 +122,6 @@ type Proc struct {
 	depthDue  []depthEvent
 	depth     int
 	peakDepth int
-	// flushListed marks the processor as present in Engine.flushList.
-	flushListed bool
 }
 
 // PeakInboxDepth returns the largest number of messages ever simultaneously
@@ -151,9 +148,9 @@ func (p *Proc) Advance(c stats.TimeCategory, cycles int64) {
 	// actions across processors then always execute in processor-ID order
 	// — the scheduler's pick rule — rather than in an order dependent on
 	// where earlier slices happened to end. That canonical tie order is
-	// what makes the serial and parallel schedulers produce identical
-	// results when same-time actions touch shared model state (for
-	// example, per-node link reservations in memchan).
+	// what makes every domain layout produce identical results when
+	// same-time actions touch shared model state (for example, per-node
+	// link reservations in memchan).
 	if p.now >= p.horizon {
 		p.doYield(stateReady)
 	}
@@ -174,10 +171,9 @@ func (p *Proc) Yield() { p.doYield(stateReady) }
 
 // Send delivers payload to processor dst with the given latency in cycles.
 // The destination can observe the message once its own clock reaches the
-// arrival time. Under the parallel scheduler, a send to another conflict
-// domain must arrive no earlier than the engine's Lookahead after the start
-// of the current window (guaranteed when every cross-domain latency is at
-// least the Lookahead).
+// arrival time. A send to another conflict domain must arrive no earlier
+// than the engine's Lookahead after the start of the current window
+// (guaranteed when every cross-domain latency is at least the Lookahead).
 func (p *Proc) Send(dst int, latency int64, payload any) {
 	if latency < 0 {
 		panic(fmt.Sprintf("sim: proc %d sent with negative latency %d", p.ID, latency))
@@ -196,8 +192,8 @@ func (p *Proc) SendAt(dst int, arrival int64, payload any) {
 
 // post validates the destination and routes the message: directly into the
 // destination's inbox when the destination is scheduled by the same control
-// flow (serial mode, or same conflict domain), staged in the sender's
-// outbox for the window-boundary merge otherwise.
+// flow (same conflict domain), staged in the sender's outbox for the
+// window-boundary merge otherwise.
 func (p *Proc) post(dst int, arrival int64, payload any) {
 	e := p.eng
 	if dst < 0 || dst >= len(e.procs) {
@@ -207,25 +203,17 @@ func (p *Proc) post(dst int, arrival int64, payload any) {
 	p.sendSeq++
 	m := Message{Src: p.ID, Dst: dst, Arrival: arrival,
 		sendTime: p.now, srcSeq: p.sendSeq, Payload: payload}
-	if e.windowed && e.procs[dst].domain != p.domain {
-		if dd := e.procs[dst].domain; arrival < e.domEnd[dd] {
+	if q := e.procs[dst]; q.domain != p.domain {
+		if arrival < e.windowEnd {
 			panic(fmt.Sprintf(
 				"sim: lookahead violation: proc %d (domain %d) sent to proc %d (domain %d) "+
-					"arriving at %d inside the destination's window ending at %d; cross-domain "+
+					"arriving at %d inside the window ending at %d; cross-domain "+
 					"latency must be at least the lookahead (%d)",
-				p.ID, p.domain, dst, dd, arrival, e.domEnd[dd], e.Lookahead))
-		}
-		// The receiver may react at arrival and reply with at least one
-		// more lookahead of latency, so this domain's extended window
-		// must not run to arrival+Lookahead or beyond (see parallel.go).
-		// Only this domain's processors and its (currently parked) worker
-		// touch the slot, so the write is race-free.
-		if rc := arrival + e.Lookahead; rc < e.domReflect[p.domain] {
-			e.domReflect[p.domain] = rc
+				p.ID, p.domain, dst, q.domain, arrival, e.windowEnd, e.Lookahead))
 		}
 		p.outbox = append(p.outbox, m)
 	} else {
-		e.procs[dst].enqueue(m)
+		q.enqueue(m)
 	}
 	// The destination may now need to run before this processor's next
 	// scheduling point; shrink the horizon so we hand control back in
@@ -235,46 +223,18 @@ func (p *Proc) post(dst int, arrival int64, payload any) {
 	}
 }
 
-// noteDepth buffers one inbox-depth event; a full batch is work for the next
-// flush.
-func (p *Proc) noteDepth(ev depthEvent) {
-	p.depthPend = append(p.depthPend, ev)
-	if len(p.depthPend) == depthBatch {
-		p.listFlush()
-	}
-}
-
-// listFlush puts the processor on the engine's flush list (see
-// Engine.flushList). Only under the serial scheduler, where everything runs
-// on one control flow; the window scheduler's flush finds its work itself.
-func (p *Proc) listFlush() {
-	if e := p.eng; !p.flushListed && !e.windowed {
-		p.flushListed = true
-		e.flushList = append(e.flushList, p)
-	}
-}
-
-// enqueue pushes a message into the inbox and records its depth event.
+// enqueue pushes a message into the inbox and buffers its depth event for
+// the next flush.
 func (p *Proc) enqueue(m Message) {
 	p.inbox.push(m)
-	p.noteDepth(depthEvent{time: m.sendTime})
-	// A blocked processor's next-run time is its earliest pending arrival,
-	// which this message may have just established or lowered: give the
-	// serial scheduler's ready heap a fresh key. (Ready processors run at
-	// their own clock regardless of mail, and a running one re-keys at its
-	// yield, so only the blocked state needs the push.)
-	if p.eng.pqActive && p.state == stateBlocked {
-		if t, ok := p.eng.nextTime(p); ok {
-			p.eng.pqPush(t, p.ID)
-		}
-	}
+	p.depthPend = append(p.depthPend, depthEvent{time: m.sendTime})
 }
 
-// popInbox removes the earliest deliverable message and records the
+// popInbox removes the earliest deliverable message and buffers the
 // matching depth event at the pop's virtual time.
 func (p *Proc) popInbox() Message {
 	m := p.inbox.pop()
-	p.noteDepth(depthEvent{time: p.now, pop: true})
+	p.depthPend = append(p.depthPend, depthEvent{time: p.now, pop: true})
 	return m
 }
 
@@ -288,11 +248,11 @@ func (p *Proc) TryRecv() (Message, bool) {
 }
 
 // PendingArrival reports the arrival time of the earliest queued message,
-// delivered or not. Under the parallel scheduler a cross-domain message
-// becomes visible here only at the window boundary (always before the
-// receiver's clock could reach its arrival time), so programs must not use
-// PendingArrival to detect the presence of future messages — only TryRecv
-// and WaitRecv have scheduler-independent semantics.
+// delivered or not. A cross-domain message becomes visible here only at the
+// window boundary (always before the receiver's clock could reach its
+// arrival time), so programs must not use PendingArrival to detect the
+// presence of future messages — only TryRecv and WaitRecv have
+// layout-independent semantics.
 func (p *Proc) PendingArrival() (int64, bool) {
 	if len(p.inbox) == 0 {
 		return 0, false
@@ -325,48 +285,44 @@ func (p *Proc) WaitRecv(c stats.TimeCategory, where string) Message {
 // Engine.SetEmitFunc). Emissions are delivered on the scheduler's control
 // thread in deterministic (time, proc, emission order) order once the
 // global virtual-time floor has passed them, so a run produces the same
-// emission sequence under the serial and parallel schedulers. No-op when no
-// emit function is set.
+// emission sequence under every domain layout and worker count. No-op when
+// no emit function is set.
 func (p *Proc) Emit(payload any) {
 	if p.eng.emitFn == nil {
 		return
 	}
 	p.emits = append(p.emits, emitRec{time: p.now, payload: payload})
-	p.listFlush()
 }
 
 // Fence schedules f(proc, at) to run once per processor, observing the
 // global state at the fence's cut: the caller's current time plus
 // Engine.Lookahead. At resolution, at points to processor proc's
 // statistics (nil when the processor has no Stats attached) containing
-// exactly the charges made strictly before the cut — under either
-// scheduler. f must treat at as read-only and must not mutate any
-// processor's live Stats — record a snapshot or baseline instead (all
+// exactly the charges made strictly before the cut — under every domain
+// layout and worker count. f must treat at as read-only and must not mutate
+// any processor's live Stats — record a snapshot or baseline instead (all
 // stats counters are additive, so the embedder can difference baselines
 // afterwards).
 //
 // With Lookahead 0 the cut is the call position itself and f runs inline
-// for every processor before Fence returns: at the fence call the caller
-// holds the earliest position in the canonical schedule (a processor
-// yields the moment its clock reaches any other's next-run time, and
-// sending shrinks the sender's own horizon), so the live counters are
-// exactly the state at the caller's position.
+// for every processor before Fence returns: all processors then share one
+// domain, where at the fence call the caller holds the earliest position in
+// the canonical schedule (a processor yields the moment its clock reaches
+// any other's next-run time, and sending shrinks the sender's own horizon),
+// so the live counters are exactly the state at the caller's position.
 //
 // With Lookahead L > 0, resolution is deferred and Fence returns before f
 // runs: the callbacks execute on the scheduler's control thread once the
 // schedule has passed the cut (or at the end of the run), with multiple
 // fences ordered by (registration time, caller ID). Deferral by one
-// lookahead is what makes the observation scheduler-exact at an
-// affordable cost: a fence registered inside a parallel window races in
-// real time with the processors of other domains, which may already have
-// run past the registration position — but never past the end of the
-// window, which never exceeds the cut. Both schedulers stop every
-// processor exactly at pending cuts (the serial scheduler caps slice
-// horizons there, the parallel scheduler truncates window ends), so at
-// resolution each has recorded the identical set of charges, and a run
-// observes byte-identical fence results under both. This is the hook for
-// rare cross-processor reads like statistics resets and captures; see
-// DESIGN.md.
+// lookahead is what makes the observation exact at an affordable cost: a
+// fence registered inside a window races in real time with the processors
+// of other domains, which may already have run past the registration
+// position — but never past the end of the window, which never exceeds the
+// cut. Window ends are truncated to pending cuts, so every processor stops
+// exactly there and at resolution has recorded the identical set of charges
+// however the window was executed. This is the hook for rare
+// cross-processor reads like statistics resets and captures; see DESIGN.md.
 func (p *Proc) Fence(f func(proc int, at *stats.Proc)) {
 	e := p.eng
 	if e.Lookahead <= 0 {
@@ -384,15 +340,13 @@ func (p *Proc) Fence(f func(proc int, at *stats.Proc)) {
 	if cut < p.horizon {
 		p.horizon = cut
 	}
-	// Under adaptive windows the caller's domain peers may be scheduled
-	// beyond the cut (the domain's extended end can exceed it); cap the
-	// domain so they stop there, like the serial scheduler caps slice
-	// horizons. Other domains' window ends never exceed the cut: they are
-	// bounded by this domain's start time plus one lookahead. The slot is
-	// only touched by this domain's processors and its parked worker, so
-	// the write is race-free.
-	if e.windowed && cut < e.domFenceCap[p.domain] {
-		e.domFenceCap[p.domain] = cut
+	// A lone domain's window is otherwise unbounded, so the caller's peers
+	// must be stopped at the cut as well: lower the window end, which
+	// runDomain re-reads at every pick. One domain is one control flow, so
+	// the write cannot race; with several domains it is never needed, since
+	// cut = now+L is already at or beyond the window's end T+L.
+	if len(e.domains) == 1 && cut < e.windowEnd {
+		e.windowEnd = cut
 	}
 }
 
@@ -411,8 +365,8 @@ func (p *Proc) doYield(st procState) {
 }
 
 // resume switches to p's coroutine for one slice — until the body yields or
-// returns — and records the state it parked in. Both schedulers dispatch
-// through here, on whichever goroutine is running p's schedule.
+// returns — and records the state it parked in, on whichever goroutine is
+// running p's domain.
 func (p *Proc) resume() {
 	p.slices++
 	st, ok := p.next()
@@ -432,8 +386,8 @@ type fenceRec struct {
 }
 
 // minFenceCut returns the earliest pending fence cut, if any. Called only
-// from the scheduler's control thread while no processor is running (serial
-// slice picks, window boundaries), where registration cannot race.
+// from the scheduler's control thread at window boundaries, while no
+// processor is running and registration cannot race.
 func (e *Engine) minFenceCut() (int64, bool) {
 	var c int64 = math.MaxInt64
 	for _, fr := range e.fences {
@@ -446,11 +400,10 @@ func (e *Engine) minFenceCut() (int64, bool) {
 
 // resolveFences runs the callbacks of every pending fence whose cut has
 // been reached: limit is the earliest next action in the schedule (the next
-// serial slice pick, the next window floor, or MaxInt64 at the end of the
-// run). Because both schedulers stop every processor's slice at pending
-// cuts, the live counters at that point hold exactly the charges starting
-// before the cut, so the callbacks read them directly. Runs only on the
-// scheduler's control thread with every processor parked.
+// window floor, or MaxInt64 at the end of the run). Because every window
+// stops at pending cuts, the live counters at that point hold exactly the
+// charges starting before the cut, so the callbacks read them directly. Runs
+// only on the scheduler's control thread with every processor parked.
 func (e *Engine) resolveFences(limit int64) {
 	if len(e.fences) == 0 {
 		return
@@ -480,26 +433,18 @@ func (e *Engine) resolveFences(limit int64) {
 
 // Engine owns the processors and runs the schedule.
 type Engine struct {
-	// Parallel selects the conservative window-based parallel scheduler.
-	// It takes effect only when Lookahead is positive and the run has more
-	// than one conflict domain; otherwise Run silently falls back to the
-	// serial scheduler. Results are bit-identical either way.
+	// Parallel asks for more than one worker: when the process has more
+	// than one P (runtime.GOMAXPROCS), a window's active domains run
+	// concurrently on goroutines instead of one after another on the
+	// caller's. Results are bit-identical either way.
 	Parallel bool
 	// Lookahead is the minimum latency of any cross-domain message, in
-	// cycles. It bounds how far processors of different domains may run
-	// concurrently: all processors whose next-run time falls in [T, T+L)
-	// execute in parallel. The embedder must guarantee the bound; the
-	// engine panics on a violating send.
+	// cycles, and the width of a window: all processors whose next-run time
+	// falls in [T, T+L) execute before any cross-domain message sent among
+	// them is delivered. The embedder must guarantee the bound; the engine
+	// panics on a violating send. With Lookahead <= 0 a window would be
+	// empty, so all processors form one domain.
 	Lookahead int64
-	// FixedWindows forces the original fixed [T, T+L) windows, disabling
-	// the adaptive per-domain window extension (see parallel.go). Results
-	// are bit-identical either way; the knob exists so benchmarks can
-	// measure what the adaptive windows buy.
-	FixedWindows bool
-	// WindowCap bounds how far an adaptive window may run ahead of a
-	// domain's own next-run time, in cycles. 0 selects the default of 64
-	// lookaheads; values below the lookahead are raised to it.
-	WindowCap int64
 
 	procs    []*Proc
 	domainOf []int     // optional processor -> domain label (SetDomains)
@@ -508,105 +453,24 @@ type Engine struct {
 	emitFn func(time int64, proc int, payload any)
 
 	// Per-run state, fully reset by Run.
-	windowed bool
-	panicCh  chan procPanic
-	fenceMu  sync.Mutex
-	fences   []fenceRec
-	// Per-domain window state (see parallel.go). domEnd is immutable
-	// while a window's workers run; domFenceCap and domReflect are
-	// per-domain truncations written only by the owning domain's
-	// processors. All are indexed by domain.
+	panicCh chan procPanic
+	fenceMu sync.Mutex
+	fences  []fenceRec
+	// windowEnd is the current window's end. It is immutable while a
+	// window's domains run, except that a lone domain's fences lower it
+	// (see Proc.Fence).
+	windowEnd int64
+	// domNext, activeBuf, flushList and emitHeap are reusable scratch
+	// buffers for the window loop, the flush and the emission merge (hot
+	// paths at high processor counts).
 	domNext     []int64
-	domEnd      []int64
-	domFenceCap []int64
-	domReflect  []int64
-	// activeBuf and emitHeap are reusable scratch buffers for the window
-	// loop and the emission merge (hot paths at high processor counts).
 	activeBuf   []int
+	flushList   []*Proc
 	emitHeap    []int
 	windowCount int64
-	// flushList holds the processors flushTo has work for: those with an
-	// undelivered emission or a full batch of depth events. Under the serial
-	// scheduler, which flushes before every slice, a processor lists itself
-	// the moment either becomes true (Proc.listFlush), so a flush with
-	// nothing pending visits no processor; the window scheduler's workers
-	// cannot share a list, and its once-per-window flush scans instead.
 	// flushVisits counts the processors flushTo examined (a host-side
-	// diagnostic, like Proc.slices).
-	flushList   []*Proc
+	// diagnostic, like Proc.slices): one scan per window, not per slice.
 	flushVisits int64
-	// readyPQ is the serial scheduler's (next-run time, processor ID)
-	// min-heap; pqActive gates the enqueue-side key pushes to runSerial
-	// (the window scheduler keeps its own per-domain schedule). Entries are
-	// lazily invalidated — a processor whose key changes gets a fresh entry
-	// rather than an in-place update, and consumers discard entries that no
-	// longer match the processor's live next-run time.
-	readyPQ  []schedEntry
-	pqActive bool
-}
-
-// schedEntry is one key of the serial scheduler's ready heap. Ordering is
-// (time, processor ID), which reproduces the linear scan's tie-break: among
-// processors runnable at the same virtual time, the lowest ID runs first.
-type schedEntry struct {
-	t  int64
-	id int
-}
-
-func pqLess(a, b schedEntry) bool {
-	return a.t < b.t || (a.t == b.t && a.id < b.id)
-}
-
-// pqPush inserts a key, sifting up.
-func (e *Engine) pqPush(t int64, id int) {
-	e.readyPQ = append(e.readyPQ, schedEntry{t, id})
-	i := len(e.readyPQ) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pqLess(e.readyPQ[i], e.readyPQ[parent]) {
-			break
-		}
-		e.readyPQ[i], e.readyPQ[parent] = e.readyPQ[parent], e.readyPQ[i]
-		i = parent
-	}
-}
-
-// pqPop removes the minimum key, sifting down.
-func (e *Engine) pqPop() {
-	n := len(e.readyPQ) - 1
-	e.readyPQ[0] = e.readyPQ[n]
-	e.readyPQ = e.readyPQ[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && pqLess(e.readyPQ[l], e.readyPQ[s]) {
-			s = l
-		}
-		if r < n && pqLess(e.readyPQ[r], e.readyPQ[s]) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		e.readyPQ[i], e.readyPQ[s] = e.readyPQ[s], e.readyPQ[i]
-		i = s
-	}
-}
-
-// pqTopValid discards stale heap entries until the top one matches its
-// processor's live next-run time, and returns it. Because every runnable
-// processor always holds at least one live entry (pushed when its key was
-// established), an empty result means no processor can run.
-func (e *Engine) pqTopValid() (schedEntry, bool) {
-	for len(e.readyPQ) > 0 {
-		top := e.readyPQ[0]
-		if t, ok := e.nextTime(e.procs[top.id]); ok && t == top.t {
-			return top, true
-		}
-		e.pqPop()
-	}
-	return schedEntry{}, false
 }
 
 // NewEngine creates an engine with n processor contexts. Statistics
@@ -622,16 +486,17 @@ func NewEngine(n int) *Engine {
 // NumProcs returns the number of processor contexts.
 func (e *Engine) NumProcs() int { return len(e.procs) }
 
-// WindowsRun returns how many parallel windows the last Run executed (0
-// under the serial scheduler). It is a host-side scheduling diagnostic —
-// never part of simulation results, which are scheduler-independent.
+// WindowsRun returns how many windows the last Run executed. It is a
+// host-side scheduling diagnostic — never part of simulation results, which
+// do not depend on how the run was cut into windows.
 func (e *Engine) WindowsRun() int64 { return e.windowCount }
 
 // SlicesRun returns how many scheduler slices — resumptions of a processor
 // context — the last Run dispatched. Like WindowsRun it is a host-side
 // diagnostic, never part of simulation results: host time per slice is what
-// a context switch costs. Each scheduler's schedule is deterministic, so the
-// count repeats exactly (the windowed one also cuts slices at window ends).
+// a context switch costs. The schedule is deterministic, so the count repeats
+// exactly, with one worker or many (it depends on the domain layout and the
+// lookahead: slices are also cut at window ends).
 func (e *Engine) SlicesRun() int64 {
 	var n int64
 	for _, p := range e.procs {
@@ -645,17 +510,18 @@ func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
 // SetEmitFunc installs the sink for Proc.Emit payloads. It is called on
 // the scheduler's control thread, strictly ordered by (time, proc,
-// per-processor emission order) — identical under both schedulers. Call
-// before Run.
+// per-processor emission order). Call before Run.
 func (e *Engine) SetEmitFunc(f func(time int64, proc int, payload any)) { e.emitFn = f }
 
-// SetDomains assigns processors to conflict domains for the parallel
-// scheduler: processors sharing a label never execute concurrently (their
-// mutual schedule reproduces the serial one exactly), while processors of
-// different domains may run in parallel within a lookahead window. All
-// communication between domains must go through messages whose latency is
-// at least Engine.Lookahead. nil restores the default of one domain per
-// processor. Panics if the slice length does not match NumProcs.
+// SetDomains assigns processors to conflict domains: processors sharing a
+// label never execute concurrently (their mutual schedule is smallest
+// (virtual time, ID) first), while processors of different domains may run
+// in parallel within a lookahead window. All communication between domains
+// must go through messages whose latency is at least Engine.Lookahead. A
+// domain is scanned once per slice, so it is meant to be an SMP node — a
+// handful of processors — not the whole machine. nil restores the default of
+// one domain per processor. Panics if the slice length does not match
+// NumProcs.
 func (e *Engine) SetDomains(domainOf []int) {
 	if domainOf != nil && len(domainOf) != len(e.procs) {
 		panic(fmt.Sprintf("sim: SetDomains got %d labels for %d procs", len(domainOf), len(e.procs)))
@@ -684,17 +550,10 @@ type procPanic struct {
 func (e *Engine) Run(body func(*Proc)) int64 {
 	e.resetRun(body)
 	e.buildDomains()
-	e.windowed = e.Parallel && e.Lookahead > 0 && len(e.domains) > 1
-	defer func() { e.windowed = false }()
 	e.startProcs()
 	defer e.stopProcs()
 
-	var maxFinish int64
-	if e.windowed {
-		maxFinish = e.runWindows()
-	} else {
-		maxFinish = e.runSerial()
-	}
+	maxFinish := e.runWindows()
 	// Fences whose cut lies beyond the last action observe the final state.
 	e.resolveFences(math.MaxInt64)
 	e.flushTo(math.MaxInt64)
@@ -709,10 +568,7 @@ func (e *Engine) resetRun(body func(*Proc)) {
 	e.panicCh = make(chan procPanic, len(e.procs))
 	e.fences = nil
 	e.windowCount = 0
-	e.flushList, e.flushVisits = e.flushList[:0], 0
-	e.emitHeap = e.emitHeap[:0]
-	e.activeBuf = e.activeBuf[:0]
-	e.readyPQ = e.readyPQ[:0]
+	e.flushVisits = 0
 	for _, p := range e.procs {
 		p.body = body
 		p.state = stateReady
@@ -724,7 +580,6 @@ func (e *Engine) resetRun(body func(*Proc)) {
 		p.emits, p.emitStart = nil, 0
 		p.depthPend, p.depthDue = nil, nil
 		p.depth, p.peakDepth = 0, 0
-		p.flushListed = false
 		p.slices = 0
 	}
 }
@@ -769,60 +624,6 @@ func (e *Engine) checkPanic() {
 	}
 }
 
-// runSerial is the cooperative scheduler: always resume the runnable
-// processor with the smallest virtual time. The schedule is driven by the
-// ready heap: O(log P) per scheduling step instead of the former O(P)
-// linear scans in pickNext and horizonFor.
-func (e *Engine) runSerial() int64 {
-	var maxFinish int64
-	var lastFloor int64 = -1
-	e.pqActive = true
-	defer func() { e.pqActive = false }()
-	for _, p := range e.procs {
-		if t, ok := e.nextTime(p); ok {
-			e.pqPush(t, p.ID)
-		}
-	}
-	remaining := len(e.procs)
-	for remaining > 0 {
-		next, bestT := e.pickNext()
-		if next == nil {
-			e.checkPanic()
-			panic("sim: deadlock\n" + e.dump())
-		}
-		// Fences whose cut the schedule has reached observe the live
-		// counters before anything at or past the cut runs.
-		e.resolveFences(bestT)
-		// Everything below the next resume time is final; deliver it.
-		if bestT > lastFloor {
-			e.flushTo(bestT)
-			lastFloor = bestT
-		}
-		// Wake a blocked processor at its earliest message arrival.
-		// The interval is attributed inside WaitRecv, which knows the
-		// stall category.
-		if next.state == stateBlocked {
-			if a, ok := next.PendingArrival(); ok && a > next.now {
-				next.now = a
-			}
-		}
-		next.state = stateRunning
-		next.horizon = e.horizonFor(next)
-		next.resume()
-		e.checkPanic()
-		if next.state == stateDone {
-			remaining--
-			if next.now > maxFinish {
-				maxFinish = next.now
-			}
-		}
-		if t, ok := e.nextTime(next); ok {
-			e.pqPush(t, next.ID)
-		}
-	}
-	return maxFinish
-}
-
 // nextTime returns the earliest virtual time at which p could run, or
 // (0,false) if p cannot run until someone sends it a message.
 func (e *Engine) nextTime(p *Proc) (int64, bool) {
@@ -840,35 +641,6 @@ func (e *Engine) nextTime(p *Proc) (int64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// pickNext returns the runnable processor with the smallest (time, ID) key
-// and consumes its heap entry; the processor re-enters the heap when it
-// yields. Returns nil when no processor can run (deadlock).
-func (e *Engine) pickNext() (*Proc, int64) {
-	top, ok := e.pqTopValid()
-	if !ok {
-		return nil, 0
-	}
-	e.pqPop()
-	return e.procs[top.id], top.t
-}
-
-// horizonFor computes how far p may run before control must return to the
-// scheduler: the earliest next-run time among all other processors, capped
-// at the earliest pending fence cut so the fence resolves before anything
-// at or past its cut runs. The caller has already marked p running and
-// consumed its heap entry, so p's remaining (duplicate) entries fail the
-// validity check and the heap top is exactly the other-processor minimum.
-func (e *Engine) horizonFor(p *Proc) int64 {
-	var h int64 = math.MaxInt64
-	if top, ok := e.pqTopValid(); ok {
-		h = top.t
-	}
-	if c, ok := e.minFenceCut(); ok && c < h {
-		h = c
-	}
-	return h
 }
 
 // dump renders the engine state for deadlock and panic diagnostics.
@@ -896,8 +668,8 @@ func (e *Engine) dump() string {
 
 // msgHeap orders messages by (arrival, send time, sender, per-sender send
 // sequence) — a total order over messages that depends only on virtual
-// time, never on which scheduler interleaved the sends, so delivery is
-// deterministic and identical under the serial and parallel schedulers.
+// time, never on how the windows interleaved the sends, so delivery is
+// deterministic and identical under every domain layout and worker count.
 type msgHeap []Message
 
 func (h msgHeap) less(i, j int) bool {

@@ -19,9 +19,9 @@ import (
 )
 
 // leapStep is how far a leapfrog processor advances per round. It is no
-// smaller than any lookahead the tests below configure, so every Advance
-// crosses both its peers' next-run times and its domain's window end: each
-// round is exactly one slice under either scheduler.
+// smaller than any finite lookahead the tests below configure, so every
+// Advance crosses both its peers' next-run times and its domain's window end:
+// each round is exactly one slice under every layout.
 const leapStep = 100
 
 // leapfrog returns Ocean's scheduling pattern in miniature: every processor
@@ -35,41 +35,26 @@ func leapfrog(rounds int) func(*Proc) {
 	}
 }
 
-// windowedEngine returns an n-processor engine on the window scheduler with
-// per consecutive processors to a conflict domain.
-func windowedEngine(n, per int, lookahead int64) *Engine {
-	e := NewEngine(n)
-	e.Parallel = true
-	e.Lookahead = lookahead
-	d := make([]int, n)
-	for i := range d {
-		d[i] = i / per
-	}
-	e.SetDomains(d)
-	return e
-}
-
 // TestSlicesRunCountsTheSchedule pins SlicesRun on a program whose schedule
 // can be counted by hand: each of 4 processors is resumed once per round (the
 // Advance yields) and once more to return, so 10 rounds are 4*(10+1) slices.
-// The windowed engine cuts this program's slices at the same points (see
-// leapStep), so it must report the same total; and the count resets per Run.
+// Every layout cuts this program's slices at the same points (see leapStep),
+// inline or on workers, so all report the same total; the count resets per
+// Run; and only the one-domain layout runs it as a single window.
 func TestSlicesRunCountsTheSchedule(t *testing.T) {
 	const want = 4 * (10 + 1)
-	serial := NewEngine(4)
-	windowed := windowedEngine(4, 2, 50)
-	for _, e := range []*Engine{serial, windowed} {
+	eachLayout(t, func(t *testing.T, l layout) {
+		e := newTestEngine(4, l)
 		for rerun := 0; rerun < 2; rerun++ {
 			e.Run(leapfrog(10))
 			if got := e.SlicesRun(); got != want {
-				t.Errorf("parallel=%v run %d: SlicesRun = %d, want %d", e.Parallel, rerun, got, want)
+				t.Errorf("run %d: SlicesRun = %d, want %d", rerun, got, want)
 			}
 		}
-	}
-	if serial.WindowsRun() != 0 || windowed.WindowsRun() == 0 {
-		t.Errorf("WindowsRun serial %d, windowed %d: the second engine did not run windowed",
-			serial.WindowsRun(), windowed.WindowsRun())
-	}
+		if one := e.WindowsRun() == 1; one != (l.per == 0) {
+			t.Errorf("WindowsRun = %d with %d processors per domain", e.WindowsRun(), l.per)
+		}
+	})
 }
 
 // mallocs returns how many heap objects f allocates.
@@ -85,25 +70,30 @@ func mallocs(f func()) int64 {
 // steady state: two runs of the same engine that differ by more than 10,000
 // slices must differ by at most a few dozen mallocs — runtime background
 // noise, where one malloc per slice would be 10,000. (A Run's fixed costs,
-// the coroutines and the panic channel, cancel.) The windowed case uses a
-// lookahead beyond the program's end so both runs are a single window and
-// the per-window worker goroutines cancel too.
+// the coroutines and the panic channel, cancel.) Inline, that holds across
+// hundreds of four-domain windows; the workers case uses a lookahead beyond
+// the program's end so both runs are a single window and its worker
+// goroutine cancels too.
 func TestHandoffDoesNotAllocate(t *testing.T) {
-	for _, e := range []*Engine{NewEngine(16), windowedEngine(16, 8, 1<<40)} {
+	for _, l := range []layout{
+		{name: "inline", per: 4, lookahead: leapStep},
+		{name: "workers", per: 8, lookahead: 1 << 40, parallel: true},
+	} {
+		e := newTestEngine(16, l)
 		const short, long = 10, 10 + 10000/16
-		e.Run(leapfrog(long)) // warm: grow the ready heap to its working set
+		e.Run(leapfrog(long)) // warm: grow the scratch buffers to their working set
 		base := mallocs(func() { e.Run(leapfrog(short)) })
 		baseSlices, baseWindows := e.SlicesRun(), e.WindowsRun()
 		grown := mallocs(func() { e.Run(leapfrog(long)) })
 		if d := e.SlicesRun() - baseSlices; d < 10000 {
-			t.Fatalf("parallel=%v: runs differ by %d slices, want at least 10000", e.Parallel, d)
+			t.Fatalf("%s: runs differ by %d slices, want at least 10000", l.name, d)
 		}
-		if e.WindowsRun() != baseWindows {
-			t.Fatalf("window counts differ: %d vs %d", baseWindows, e.WindowsRun())
+		if l.parallel && e.WindowsRun() != baseWindows {
+			t.Fatalf("%s: window counts differ: %d vs %d", l.name, baseWindows, e.WindowsRun())
 		}
 		if d := grown - base; d > 50 {
-			t.Errorf("parallel=%v: %d more mallocs for 10000 more slices (%d vs %d): hand-off allocates",
-				e.Parallel, d, grown, base)
+			t.Errorf("%s: %d more mallocs for 10000 more slices (%d vs %d): hand-off allocates",
+				l.name, d, grown, base)
 		}
 	}
 }
@@ -125,42 +115,44 @@ func pingPong(rounds int) func(*Proc) {
 }
 
 // TestSendRecvDoesNotAllocate checks that delivering a message costs no heap
-// allocation in steady state, under both schedulers: 10,000 more round trips
-// must add at most a few dozen mallocs, where boxing each message once on
-// its way into the inbox would add 20,000. Both runs are long enough to fold
-// a full batch of depth events, so that buffer's growth cancels. The windowed
-// engine's two processors are separate domains a lookahead apart, so every
-// message is staged in an outbox and merged at a window boundary, and every
-// window has one active domain (no worker goroutine to allocate).
+// allocation in steady state, inline and with workers: 10,000 more round
+// trips must add at most a few dozen mallocs, where boxing each message once
+// on its way into the inbox would add 20,000. Both runs are long enough to
+// fold a full batch of depth events, so that buffer's growth cancels. The two
+// processors are separate domains a lookahead apart, so every message is
+// staged in an outbox and merged at a window boundary, and every window has
+// one active domain (no worker goroutine to allocate).
 func TestSendRecvDoesNotAllocate(t *testing.T) {
-	for _, e := range []*Engine{NewEngine(2), windowedEngine(2, 1, 10)} {
+	for _, parallel := range []bool{false, true} {
+		e := newTestEngine(2, layout{per: 1, lookahead: 10, parallel: parallel})
 		const short, long = 3000, 13000
 		base := mallocs(func() { e.Run(pingPong(short)) })
 		grown := mallocs(func() { e.Run(pingPong(long)) })
-		if e.Parallel != (e.WindowsRun() > 0) {
-			t.Fatalf("parallel=%v ran %d windows", e.Parallel, e.WindowsRun())
+		if e.WindowsRun() < long {
+			t.Fatalf("parallel=%v ran %d windows: the messages did not cross a window boundary", parallel, e.WindowsRun())
 		}
 		if d := grown - base; d > 50 {
 			t.Errorf("parallel=%v: %d more mallocs for %d more round trips (%d vs %d): delivery allocates",
-				e.Parallel, d, long-short, grown, base)
+				parallel, d, long-short, grown, base)
 		}
 	}
 }
 
-// TestIdleFlushVisitsNoProcessor checks that the serial scheduler's per-slice
-// flush costs nothing when nothing is pending, even with an emit sink
-// installed: over 16,000 slices of a program that emits and sends nothing,
-// the only processors a flush examines are those of the end-of-run scan.
+// TestIdleFlushVisitsNoProcessor checks that the flush is paid per window,
+// not per slice, even with an emit sink installed: over 16,000 slices of a
+// program that emits and sends nothing, flushes examine the processors once
+// per window and once more at the end of the run.
 func TestIdleFlushVisitsNoProcessor(t *testing.T) {
-	e := NewEngine(16)
+	e := newTestEngine(16, layout{per: 4, lookahead: 10 * leapStep})
 	e.SetEmitFunc(func(int64, int, any) { t.Error("nothing was emitted") })
 	e.Run(leapfrog(1000))
 	if e.SlicesRun() < 16000 {
 		t.Fatalf("SlicesRun = %d, want at least 16000", e.SlicesRun())
 	}
-	if e.flushVisits > int64(e.NumProcs()) {
-		t.Errorf("flushes examined %d processors over %d slices, want only the final scan's %d",
-			e.flushVisits, e.SlicesRun(), e.NumProcs())
+	limit := (e.WindowsRun() + 1) * int64(e.NumProcs())
+	if e.flushVisits > limit || limit*5 > e.SlicesRun() {
+		t.Errorf("flushes examined %d processors over %d slices and %d windows, want at most %d, a fraction of the slices",
+			e.flushVisits, e.SlicesRun(), e.WindowsRun(), limit)
 	}
 }
 
@@ -188,7 +180,7 @@ func recvAndDrop(p *Proc) { p.WaitRecv(stats.Read, "tracked") }
 // because pop zeroes the slot the heap vacates.
 func TestDeliveredPayloadIsCollectable(t *testing.T) {
 	collected := make(chan struct{})
-	e := newTestEngine(2)
+	e := newTestEngine(2, layouts[0])
 	e.Run(func(p *Proc) {
 		if p.ID == 0 {
 			sendTracked(p, 1, collected)
@@ -248,8 +240,8 @@ func explodeInBody(p *Proc) {
 	panic("boom")
 }
 
-// TestFailureDiagnostics checks what a failed run tells its caller, under
-// both schedulers: a body panic names the processor, dumps the engine and
+// TestFailureDiagnostics checks what a failed run tells its caller, with one
+// worker and with several: a body panic names the processor, dumps the engine and
 // keeps the panicking goroutine's own stack; a deadlock lists where each
 // processor blocked.
 func TestFailureDiagnostics(t *testing.T) {
@@ -282,8 +274,7 @@ func TestFailureDiagnostics(t *testing.T) {
 }
 
 // benchLeapfrog reports the engine's cost per context switch on the
-// leapfrog pattern. (BenchmarkSerialScheduler* in sched_heap_test.go measure
-// the blocked receive path, where a slice also pays for a message.)
+// leapfrog pattern.
 func benchLeapfrog(b *testing.B, e *Engine) {
 	b.ReportAllocs()
 	body := leapfrog(1000)
@@ -296,8 +287,46 @@ func benchLeapfrog(b *testing.B, e *Engine) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slices), "ns/slice")
 }
 
-func BenchmarkLeapfrog16(b *testing.B) { benchLeapfrog(b, NewEngine(16)) }
+// BenchmarkLeapfrog16 is one 16-processor domain: every pick scans all 16.
+func BenchmarkLeapfrog16(b *testing.B) { benchLeapfrog(b, newTestEngine(16, layouts[0])) }
 
 // BenchmarkLeapfrog16Windowed runs the same program as four 4-processor
-// domains, so a slice also carries its share of the window fork and join.
-func BenchmarkLeapfrog16Windowed(b *testing.B) { benchLeapfrog(b, windowedEngine(16, 4, leapStep)) }
+// domains, so a slice also carries its share of the window (and, with -cpu
+// above 1, of the fork and join).
+func BenchmarkLeapfrog16Windowed(b *testing.B) {
+	benchLeapfrog(b, newTestEngine(16, layout{per: 4, lookahead: leapStep, parallel: true}))
+}
+
+// benchPingPong runs a message-heavy program in one domain of procs
+// processors: every processor ping-pongs with a partner for rounds exchanges.
+// Each receive is one blocked->running transition, i.e. one pick, so the
+// benchmark isolates what a domain's width costs: the pick is a scan, which
+// is why a domain is meant to be an SMP node and not the machine (256 in one
+// domain is the layout nothing in the tree runs).
+func benchPingPong(b *testing.B, procs, rounds int) {
+	b.ReportAllocs()
+	e := newTestEngine(procs, layouts[0])
+	st := stats.NewRun(procs)
+	for i := 0; i < procs; i++ {
+		e.Proc(i).Stats = &st.Procs[i]
+	}
+	body := func(p *Proc) {
+		partner := p.ID ^ 1
+		for r := 0; r < rounds; r++ {
+			if p.ID&1 == 0 {
+				p.Send(partner, 10, r)
+				p.WaitRecv(stats.Other, "pong")
+			} else {
+				p.WaitRecv(stats.Other, "ping")
+				p.Send(partner, 10, r)
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run(body)
+	}
+}
+
+func BenchmarkPingPong64(b *testing.B)  { benchPingPong(b, 64, 200) }
+func BenchmarkPingPong256(b *testing.B) { benchPingPong(b, 256, 200) }

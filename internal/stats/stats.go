@@ -208,7 +208,7 @@ func HandoffClassName(c int) string {
 
 // SyncStat accumulates one processor's application-synchronization activity
 // on a single primitive, counted on the requester side so each processor
-// updates only its own shard (race-free under the parallel scheduler).
+// updates only its own shard (race-free with parallel engine workers).
 //
 // Unlike the other counters these are NOT subtracted by mid-run stat resets
 // (see Proc.Sub): traces span the whole run, and the observability contract
@@ -370,8 +370,8 @@ type Proc struct {
 
 	// Blocks attributes this processor's protocol activity to individual
 	// coherence blocks, keyed by block base line. Each processor updates
-	// only its own shard, so the per-block counters stay race-free under
-	// the parallel scheduler and append-only for the determinism contract;
+	// only its own shard, so the per-block counters stay race-free with
+	// parallel engine workers and append-only for the determinism contract;
 	// the obsv layer aggregates shards across processors at snapshot time.
 	// Allocated lazily by Block.
 	Blocks map[int]*BlockStat
@@ -429,7 +429,7 @@ type BlockStat struct {
 	// ReadMask and WriteMask record which of the block's sub-block slots
 	// (see BlockSlots) this processor's missing loads and stores touched.
 	// The masks grow monotonically by bitwise OR, which is commutative, so
-	// they are identical under the serial and parallel schedulers; unlike
+	// they are identical with one engine worker or many; unlike
 	// the counters they are not subtractable and therefore remain
 	// cumulative from the start of the run across ResetStats.
 	ReadMask  uint64
@@ -871,8 +871,8 @@ func (r *Run) Reset() {
 // statistics fence uses this to implement mid-run resets as baseline
 // subtraction: the reset records a snapshot at the fence position and the
 // final counters are differenced once at the end of the run, which keeps
-// the live counters append-only and therefore identical under the serial
-// and parallel schedulers.
+// the live counters append-only and therefore identical with one engine
+// worker or many.
 func (p *Proc) Sub(base *Proc) {
 	for c := range p.TimeBy {
 		p.TimeBy[c] -= base.TimeBy[c]

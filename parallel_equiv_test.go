@@ -1,11 +1,11 @@
 package shasta_test
 
-// The parallel scheduler's contract is bit-identical results: for every
-// application, a run under the conservative window-based parallel scheduler
-// must produce exactly the trace bytes, metrics bytes, derived span report,
-// cycle count and checksum of the serial run. This test enforces the contract end to end
-// over all nine applications at 8 processors (two SMP nodes, so the
-// parallel runs genuinely use concurrent windows).
+// Config.Parallel's contract is bit-identical results: for every
+// application, a run with one engine worker per active SMP node must produce
+// exactly the trace bytes, metrics bytes, derived span report, cycle count
+// and checksum of the one-worker run. This test enforces the contract end to
+// end over all nine applications at 8 processors (two SMP nodes, so on a
+// multi-core host the parallel runs genuinely execute windows concurrently).
 
 import (
 	"bytes"
@@ -232,14 +232,13 @@ func TestParallelSchedulerBitIdenticalMigrate(t *testing.T) {
 
 // TestParallelSchedulerBitIdenticalAtScale enforces the same contract at 64
 // processors on a hierarchical topology (16 four-processor nodes in 4
-// uplink groups): the serial scheduler, the parallel scheduler with fixed
-// windows, and the parallel scheduler with adaptive windows (the default)
-// must all produce identical trace bytes, metrics bytes, cycles and
-// checksums. This is the scale regime the interconnect hierarchy and the
-// adaptive windows were built for, so both knobs are exercised explicitly.
+// uplink groups), the scale regime the interconnect hierarchy was built
+// for: up to 16 domains share each fixed [T, T+L) window, and one worker and
+// many must produce identical trace bytes, metrics bytes, cycles and
+// checksums, with static homes and with online migration.
 func TestParallelSchedulerBitIdenticalAtScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("64-processor runs under three schedulers")
+		t.Skip("64-processor runs, four of them")
 	}
 	base := shasta.Config{Procs: 64, Clustering: 4, NodesPerGroup: 4, HeapBytes: 4 << 20}
 	sTrace, sMetrics, sSpans, sSync, sCycles, sSum := observedRun(t, "LU", base)
@@ -247,10 +246,8 @@ func TestParallelSchedulerBitIdenticalAtScale(t *testing.T) {
 		shasta.Config{Procs: 64, Clustering: 4, NodesPerGroup: 4, HeapBytes: 4 << 20, Migrate: true})
 	for _, mode := range []struct {
 		name    string
-		fixed   bool
 		migrate bool
-	}{{"fixed-windows", true, false}, {"adaptive-windows", false, false},
-		{"migrate", false, true}} {
+	}{{"fixed-windows", false}, {"migrate", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			sTrace, sMetrics, sSpans, sSync, sCycles, sSum := sTrace, sMetrics, sSpans, sSync, sCycles, sSum
 			if mode.migrate {
@@ -258,7 +255,6 @@ func TestParallelSchedulerBitIdenticalAtScale(t *testing.T) {
 			}
 			cfg := base
 			cfg.Parallel = true
-			cfg.FixedWindows = mode.fixed
 			cfg.Migrate = mode.migrate
 			pTrace, pMetrics, pSpans, pSync, pCycles, pSum := observedRun(t, "LU", cfg)
 			if sCycles != pCycles {

@@ -215,20 +215,12 @@ type Config struct {
 	// protocol default (600, one node-local leg). Each completed migration
 	// of a block doubles its effective threshold (hysteresis).
 	MigrateThreshold int64
-	// Parallel runs the simulation on the engine's conservative
-	// window-based parallel scheduler: the processors of different SMP
-	// nodes execute concurrently on real cores. Every result — cycles,
-	// statistics, traces, metrics — is bit-identical to the default
-	// serial scheduler's; only host wall-clock time changes.
+	// Parallel asks the simulation engine for more than one worker: the
+	// processors of different SMP nodes execute concurrently on real cores
+	// (when the host process has more than one) instead of one node after
+	// another. Every result — cycles, statistics, traces, metrics — is
+	// identical either way; only host wall-clock time changes.
 	Parallel bool
-	// FixedWindows forces the parallel scheduler's original fixed
-	// lookahead windows, disabling adaptive per-domain window extension.
-	// Results are bit-identical either way; benchmarks use the knob to
-	// measure what the adaptive windows buy.
-	FixedWindows bool
-	// WindowCap bounds adaptive window run-ahead, in cycles beyond a
-	// domain's own virtual time; 0 selects the engine default.
-	WindowCap int64
 }
 
 // Cluster is a configured simulated cluster. Allocate shared data and
@@ -272,8 +264,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		MigrateInterval:     cfg.MigrateInterval,
 		MigrateThreshold:    cfg.MigrateThreshold,
 		Parallel:            cfg.Parallel,
-		FixedWindows:        cfg.FixedWindows,
-		WindowCap:           cfg.WindowCap,
 	}.WithDefaults()
 	if err := pcfg.Validate(); err != nil {
 		return nil, fmt.Errorf("shasta: %w", err)

@@ -14,6 +14,23 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := shasta.NewCluster(shasta.Config{Procs: -2}); err == nil {
 		t.Fatal("negative processor count should be rejected")
 	}
+	// A bad heap geometry is a diagnostic like every other bad field, not a
+	// panic out of the memory layer.
+	for _, cfg := range []shasta.Config{
+		{Procs: 4, LineSize: 4},
+		{Procs: 4, LineSize: 12},
+		{Procs: 4, LineSize: 24},
+		{Procs: 4, LineSize: 96},
+		{Procs: 4, LineSize: 128, HeapBytes: 1<<20 + 64},
+		{Procs: 4, HeapBytes: -64},
+	} {
+		if _, err := shasta.NewCluster(cfg); err == nil || !strings.HasPrefix(err.Error(), "shasta: ") {
+			t.Errorf("LineSize %d, HeapBytes %d: error %v, want a shasta: diagnostic", cfg.LineSize, cfg.HeapBytes, err)
+		}
+	}
+	if _, err := shasta.NewCluster(shasta.Config{Procs: 4, LineSize: 256, HeapBytes: 1 << 20}); err != nil {
+		t.Errorf("256-byte lines rejected: %v", err)
+	}
 	c, err := shasta.NewCluster(shasta.Config{})
 	if err != nil {
 		t.Fatal(err)
