@@ -11,8 +11,10 @@
 # request-span reconstruction and its fuzzed degradation tests) and the
 # shastatrace CLI goldens. The allocation line reruns the malloc-budget pins
 # (hand-off, message delivery, emission merge, batch hit, trace
-# emission, untraced handler, stats shards) without the race detector, whose
-# runtime allocates on its own and so cannot hold a malloc budget.
+# emission, untraced handler, wake-up, stats shards, the depth buffers' bound
+# and a cluster's independence of its heap capacity) without the race
+# detector, whose runtime allocates on its own and so cannot hold a malloc
+# budget.
 .PHONY: check test bench bench-compare gobench
 
 check:
@@ -28,14 +30,14 @@ check:
 	go test -race ./internal/protocol/
 	go test -race -cpu 1,4 ./internal/sim/
 	go test ./internal/stats/ ./internal/obsv/ ./cmd/shastatrace/
-	go test -run 'DoesNotAllocate|NoAllocs|FormatsNothing|Amortizes' ./internal/sim/ ./internal/protocol/ ./internal/stats/
+	go test -run 'DoesNotAllocate|NoAllocs|FormatsNothing|Amortizes|StayBounded|IndependentOfCapacity' . ./internal/sim/ ./internal/protocol/ ./internal/stats/
 
 test:
 	go build ./... && go test ./...
 
 # Benchmark workflow (see PERFORMANCE.md). `make bench` runs the scale
 # experiment's 16-256 processor sweep and writes BENCH_$(LABEL).json;
-# `make bench-compare OLD=BENCH_pr21.json NEW=BENCH_local.json` gates the
+# `make bench-compare OLD=BENCH_pr22.json NEW=BENCH_local.json` gates the
 # new snapshot against the old one (>10% normalized wall-clock growth or
 # any virtual-result divergence fails). PROCS/TOPOLOGY narrow the sweep,
 # e.g. `make bench PROCS=64`.

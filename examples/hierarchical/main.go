@@ -54,7 +54,6 @@ func main() {
 		ProcsPerNode:  procsPerNode,
 		NodesPerGroup: nodesPerGroup,
 		Clustering:    4,
-		HeapBytes:     4 << 20,
 		Parallel:      true,
 	})
 	if err != nil {

@@ -127,15 +127,16 @@ func (w *LU) elem(i, j int) shasta.Addr {
 	return w.mat.At(((bi*w.nb+bj)*w.b+ii)*w.b + jj)
 }
 
-// blockRefs returns batch references covering block (bi, bj): one per row
-// in the scattered layout, one contiguous range in the contiguous layout.
-func (w *LU) blockRefs(bi, bj int, store bool) []shasta.BatchRef {
+// blockRefs appends batch references covering block (bi, bj) to refs: one
+// per row in the scattered layout, one contiguous range in the contiguous
+// layout. Proc.Batch keeps nothing of the slice it is handed, so each
+// processor builds every batch's references in one scratch slice (refs[:0]).
+func (w *LU) blockRefs(refs []shasta.BatchRef, bi, bj int, store bool) []shasta.BatchRef {
 	if w.contig {
-		return []shasta.BatchRef{{Base: w.elem(bi*w.b, bj*w.b), Bytes: w.b * w.b * 8, Store: store}}
+		return append(refs, shasta.BatchRef{Base: w.elem(bi*w.b, bj*w.b), Bytes: w.b * w.b * 8, Store: store})
 	}
-	refs := make([]shasta.BatchRef, w.b)
 	for ii := 0; ii < w.b; ii++ {
-		refs[ii] = shasta.BatchRef{Base: w.elem(bi*w.b+ii, bj*w.b), Bytes: w.b * 8, Store: store}
+		refs = append(refs, shasta.BatchRef{Base: w.elem(bi*w.b+ii, bj*w.b), Bytes: w.b * 8, Store: store})
 	}
 	return refs
 }
@@ -164,7 +165,7 @@ func (w *LU) storeBlock(b *shasta.Batch, bi, bj int, buf []float64) {
 // with a per-block deterministic generator so the matrix is identical for
 // any processor count — and for any repetition, so iterated sweeps all
 // factor the same matrix.
-func (w *LU) initBlocks(p *shasta.Proc) {
+func (w *LU) initBlocks(p *shasta.Proc, refs []shasta.BatchRef) {
 	n, bdim, nb := w.n, w.b, w.nb
 	procs := p.NumProcs()
 	for bi := 0; bi < nb; bi++ {
@@ -173,7 +174,7 @@ func (w *LU) initBlocks(p *shasta.Proc) {
 				continue
 			}
 			r := newRNG(uint64(12345 + bi*nb + bj))
-			p.Batch(w.blockRefs(bi, bj, true), func(b *shasta.Batch) {
+			p.Batch(w.blockRefs(refs[:0], bi, bj, true), func(b *shasta.Batch) {
 				for ii := 0; ii < bdim; ii++ {
 					i := bi*bdim + ii
 					for jj := 0; jj < bdim; jj++ {
@@ -193,8 +194,10 @@ func (w *LU) initBlocks(p *shasta.Proc) {
 // Body implements Workload.
 func (w *LU) Body(p *shasta.Proc) {
 	bdim := w.b
+	// Scratch for the widest batch: an interior update names three blocks.
+	refs := make([]shasta.BatchRef, 0, 3*bdim)
 
-	w.initBlocks(p)
+	w.initBlocks(p, refs)
 	p.Barrier()
 	if p.ID() == 0 {
 		p.ResetStats()
@@ -210,23 +213,23 @@ func (w *LU) Body(p *shasta.Proc) {
 			// Iterated sweeps re-create the matrix and factor it again:
 			// the owners' re-initialization stores and the consumers'
 			// re-reads repeat the factorization's sharing pattern.
-			w.initBlocks(p)
+			w.initBlocks(p, refs)
 			p.Barrier()
 		}
-		w.factor(p, diag, left, up, cur)
+		w.factor(p, refs, diag, left, up, cur)
 	}
 	w.finish(p)
 }
 
 // factor runs one blocked factorization over the (freshly initialized)
 // matrix; the scratch buffers are the caller's so sweeps reuse them.
-func (w *LU) factor(p *shasta.Proc, diag, left, up, cur []float64) {
+func (w *LU) factor(p *shasta.Proc, refs []shasta.BatchRef, diag, left, up, cur []float64) {
 	nb := w.nb
 	procs := p.NumProcs()
 	for k := 0; k < nb; k++ {
 		// Phase 1: the diagonal block's owner factors it in place.
 		if w.owner(k, k, procs) == p.ID() {
-			p.Batch(w.blockRefs(k, k, true), func(b *shasta.Batch) {
+			p.Batch(w.blockRefs(refs[:0], k, k, true), func(b *shasta.Batch) {
 				w.loadBlock(b, k, k, diag)
 				w.factorDiag(p, diag)
 				w.storeBlock(b, k, k, diag)
@@ -237,7 +240,7 @@ func (w *LU) factor(p *shasta.Proc, diag, left, up, cur []float64) {
 		// Phase 2: perimeter updates.
 		for j := k + 1; j < nb; j++ {
 			if w.owner(k, j, procs) == p.ID() {
-				refs := append(w.blockRefs(k, j, true), w.blockRefs(k, k, false)...)
+				refs = w.blockRefs(w.blockRefs(refs[:0], k, j, true), k, k, false)
 				p.Batch(refs, func(b *shasta.Batch) {
 					w.loadBlock(b, k, k, diag)
 					w.loadBlock(b, k, j, cur)
@@ -248,7 +251,7 @@ func (w *LU) factor(p *shasta.Proc, diag, left, up, cur []float64) {
 		}
 		for i := k + 1; i < nb; i++ {
 			if w.owner(i, k, procs) == p.ID() {
-				refs := append(w.blockRefs(i, k, true), w.blockRefs(k, k, false)...)
+				refs = w.blockRefs(w.blockRefs(refs[:0], i, k, true), k, k, false)
 				p.Batch(refs, func(b *shasta.Batch) {
 					w.loadBlock(b, k, k, diag)
 					w.loadBlock(b, i, k, cur)
@@ -265,8 +268,8 @@ func (w *LU) factor(p *shasta.Proc, diag, left, up, cur []float64) {
 				if w.owner(i, j, procs) != p.ID() {
 					continue
 				}
-				refs := append(w.blockRefs(i, j, true), w.blockRefs(i, k, false)...)
-				refs = append(refs, w.blockRefs(k, j, false)...)
+				refs = w.blockRefs(w.blockRefs(refs[:0], i, j, true), i, k, false)
+				refs = w.blockRefs(refs, k, j, false)
 				p.Batch(refs, func(b *shasta.Batch) {
 					w.loadBlock(b, i, k, left)
 					w.loadBlock(b, k, j, up)

@@ -38,13 +38,12 @@ type contentionRun struct {
 }
 
 // contentionConfig builds the cell's configuration: SMP nodes of 4, and at
-// 64 processors the hierarchical uplink topology plus the heap the larger
-// runs need (matching the scale experiment's arrangement).
+// 64 processors the hierarchical uplink topology (matching the scale
+// experiment's arrangement).
 func contentionConfig(procs int, fastSync bool) shasta.Config {
 	cfg := shasta.Config{Procs: procs, Clustering: 4, FastSync: fastSync}
 	if procs > 16 {
 		cfg.NodesPerGroup = 4
-		cfg.HeapBytes = 4 << 20
 	}
 	return cfg
 }

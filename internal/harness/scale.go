@@ -36,12 +36,9 @@ func scaleSchedulers() []string {
 // (npg < 0 forces a flat topology). By default nodes are the paper's
 // 4-processor SMPs, clustering is the paper's SMP-Shasta choice, and at 64
 // processors and above the interconnect becomes hierarchical with 4 nodes
-// per uplink group. The heap is shrunk to 4 MiB: each sharing group holds
-// its own heap image, so the default 16 MiB would cost 64 x 16 MiB of host
-// memory at 256 processors for no simulation benefit at these problem
-// sizes.
+// per uplink group.
 func scaleConfig(procs, ppn, npg int) shasta.Config {
-	cfg := shasta.Config{Procs: procs, Clustering: 4, HeapBytes: 4 << 20}
+	cfg := shasta.Config{Procs: procs, Clustering: 4}
 	if procs < 4 {
 		cfg.Clustering = procs
 	}

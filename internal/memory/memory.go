@@ -22,6 +22,7 @@ package memory
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -93,8 +94,11 @@ type Layout struct {
 	lineSize int
 	// lineShift is log2(lineSize): the per-access line lookup is a shift.
 	lineShift uint
-	heapSize  Addr
-	brk       Addr
+	// heapSize is the capacity — a limit Alloc enforces, not memory held:
+	// the per-line arrays below cover only the lines under brk and grow
+	// with it (see setBrk).
+	heapSize Addr
+	brk      Addr
 	// blockBase[l] is the line index of the first line of the block
 	// containing line l; blockLines[b] (indexed by a block's first line)
 	// is the block's length in lines.
@@ -124,35 +128,49 @@ func NewLayout(lineSize int, heapSize int64) *Layout {
 	if heapSize%int64(lineSize) != 0 {
 		panic(fmt.Sprintf("memory: heap size %d not a multiple of line size", heapSize))
 	}
-	nLines := heapSize / int64(lineSize)
-	l := &Layout{
-		lineSize:   lineSize,
-		lineShift:  uint(bits.TrailingZeros(uint(lineSize))),
-		heapSize:   Addr(heapSize),
-		blockBase:  make([]int32, nLines),
-		blockLines: make([]int32, nLines),
-		allocated:  make([]bool, nLines),
-		migratable: make([]bool, nLines),
-		migEpoch:   make([]int32, nLines),
+	return &Layout{
+		lineSize:  lineSize,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		heapSize:  Addr(heapSize),
 	}
-	for i := range l.blockBase {
-		l.blockBase[i] = int32(i)
-		l.blockLines[i] = 1
+}
+
+// setBrk moves the allocation pointer up to brk and extends the per-line
+// arrays to the lines below it. New lines start as unallocated one-line
+// blocks; Alloc overwrites the ones it hands out, alignment gaps stay so.
+func (l *Layout) setBrk(brk Addr) {
+	l.brk = brk
+	old, n := len(l.blockBase), (int(brk)+l.lineSize-1)>>l.lineShift
+	if n <= old {
+		return
 	}
-	return l
+	for li := old; li < n; li++ {
+		l.blockBase = append(l.blockBase, int32(li))
+		l.blockLines = append(l.blockLines, 1)
+	}
+	l.allocated = append(l.allocated, make([]bool, n-old)...)
+	l.migratable = append(l.migratable, make([]bool, n-old)...)
+	l.migEpoch = append(l.migEpoch, make([]int32, n-old)...)
 }
 
 // LineSize returns the line size in bytes.
 func (l *Layout) LineSize() int { return l.lineSize }
 
-// HeapSize returns the heap capacity in bytes.
-func (l *Layout) HeapSize() int64 { return int64(l.heapSize) }
-
 // Used returns the number of heap bytes allocated so far.
 func (l *Layout) Used() int64 { return int64(l.brk) }
 
-// NumLines returns the number of lines in the heap.
+// NumLines returns the number of lines in the heap's capacity.
 func (l *Layout) NumLines() int { return int(l.heapSize) / l.lineSize }
+
+// imageBytes is the extent of an Image or PrivateTable built now: the
+// allocated prefix of the heap, rounded up to a whole page.
+func (l *Layout) imageBytes() int64 {
+	return (int64(l.brk) + PageSize - 1) / PageSize * PageSize
+}
+
+// UsedLines returns the number of lines below the allocation pointer: the
+// lines the layout describes and the state tables built from it cover.
+func (l *Layout) UsedLines() int { return len(l.blockBase) }
 
 // AlignToPage advances the allocation pointer to the next page boundary.
 // The heap allocator calls it before every allocation so that no two
@@ -161,9 +179,13 @@ func (l *Layout) NumLines() int { return int(l.heapSize) / l.lineSize }
 // later allocation silently re-home an earlier one's data.
 func (l *Layout) AlignToPage() {
 	if rem := int64(l.brk) % PageSize; rem != 0 {
-		l.brk += Addr(PageSize - rem)
+		l.setBrk(l.brk + Addr(PageSize-rem))
 	}
 }
+
+// ErrHeapExhausted is the error of an Alloc that does not fit in what is
+// left of the heap's capacity.
+var ErrHeapExhausted = errors.New("memory: heap exhausted")
 
 // Alloc carves size bytes out of the heap, kept coherent in blocks of
 // blockSize bytes. Following the paper's policy, blockSize is rounded up to
@@ -189,10 +211,10 @@ func (l *Layout) Alloc(size int64, blockSize int) (Addr, error) {
 	total := nBlocks * bBytes
 	start := l.brk
 	if int64(start)+total > int64(l.heapSize) {
-		return 0, fmt.Errorf("memory: heap exhausted: need %d, have %d",
-			total, int64(l.heapSize)-int64(start))
+		return 0, fmt.Errorf("%w: need %d, have %d",
+			ErrHeapExhausted, total, int64(l.heapSize)-int64(start))
 	}
-	l.brk += Addr(total)
+	l.setBrk(start + Addr(total))
 	firstLine := l.LineOf(start)
 	for li := firstLine; li < firstLine+int(total)/l.lineSize; li++ {
 		l.allocated[li] = true
@@ -269,19 +291,39 @@ type Image struct {
 	state []State
 }
 
-// NewImage creates a group image. Lines start Invalid with the flag value
-// filled in, except for groups that are homes of the data; protocol code
-// arranges initial ownership.
+// NewImage creates a group image of the heap allocated so far, rounded up to
+// a whole page: capacity the program never allocated costs nothing, and
+// allocations made after this call are not covered. Lines start Invalid with
+// the flag value filled in; protocol code arranges initial ownership.
 func NewImage(lay *Layout) *Image {
 	img := &Image{
 		lay:   lay,
-		data:  make([]byte, lay.HeapSize()),
-		state: make([]State, lay.NumLines()),
+		data:  make([]byte, lay.imageBytes()),
+		state: make([]State, lay.imageBytes()>>lay.lineShift),
 	}
-	for i := 0; i+4 <= len(img.data); i += 4 {
-		binary.LittleEndian.PutUint32(img.data[i:], FlagWord)
-	}
+	fillFlag(img.data)
 	return img
+}
+
+// flagQuad is two flag words, the unit fillFlag stores.
+const flagQuad = uint64(FlagWord)<<32 | uint64(FlagWord)
+
+// fillFlag stores the flag value into every longword of b, whose length
+// must be a multiple of 4 (any whole number of lines is a multiple of 8).
+// The first 64 bytes take 8-byte stores (a one-line block being invalidated
+// is done there); anything longer doubles that seed with copy.
+func fillFlag(b []byte) {
+	head := b[:min(len(b), 64)]
+	i := 0
+	for ; i+8 <= len(head); i += 8 {
+		binary.LittleEndian.PutUint64(head[i:], flagQuad)
+	}
+	if i < len(head) {
+		binary.LittleEndian.PutUint32(head[i:], FlagWord)
+	}
+	for n := len(head); n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // Layout returns the image's layout.
@@ -312,11 +354,7 @@ func (img *Image) BlockState(addr Addr) State {
 // FillFlag stores the invalid-flag value into every longword of the block
 // whose first line is baseLine, as the protocol does when invalidating.
 func (img *Image) FillFlag(baseLine int) {
-	start := baseLine * img.lay.lineSize
-	n := int(img.lay.blockLines[baseLine]) * img.lay.lineSize
-	for i := start; i < start+n; i += 4 {
-		binary.LittleEndian.PutUint32(img.data[i:], FlagWord)
-	}
+	fillFlag(img.BlockData(baseLine))
 }
 
 // BlockData returns the block's bytes (aliasing the image).
@@ -392,9 +430,10 @@ type PrivateState = State
 // code under the same locks as the shared table.
 type PrivateTable []State
 
-// NewPrivateTable creates an all-Invalid private table for the layout.
+// NewPrivateTable creates an all-Invalid private table over the lines a
+// NewImage of the layout would cover at this point.
 func NewPrivateTable(lay *Layout) PrivateTable {
-	return make(PrivateTable, lay.NumLines())
+	return make(PrivateTable, lay.imageBytes()>>lay.lineShift)
 }
 
 // Get returns the private state of line li.

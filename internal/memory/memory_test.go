@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -72,9 +73,18 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 }
 
-func TestImageStartsFlagFilled(t *testing.T) {
+// pageLayout returns a one-page heap with the page allocated, so an image of
+// it covers all 4096 bytes.
+func pageLayout(t testing.TB) *Layout {
 	l := NewLayout(64, 4096)
-	img := NewImage(l)
+	if _, err := l.Alloc(4096, 64); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func TestImageStartsFlagFilled(t *testing.T) {
+	img := NewImage(pageLayout(t))
 	for a := Addr(0); a < 4096; a += 4 {
 		if !img.HasFlagWord(a) {
 			t.Fatalf("address %d not flag-filled at start", a)
@@ -86,8 +96,7 @@ func TestImageStartsFlagFilled(t *testing.T) {
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	l := NewLayout(64, 4096)
-	img := NewImage(l)
+	img := NewImage(pageLayout(t))
 	img.WriteF64(8, 3.25)
 	if got := img.ReadF64(8); got != 3.25 {
 		t.Fatalf("ReadF64 = %v", got)
@@ -217,7 +226,7 @@ func TestQuickBlockMapping(t *testing.T) {
 // Property: data written with WriteU32 at a flag-free location never reads
 // back as the flag unless the written value is the flag itself.
 func TestQuickFlagDetection(t *testing.T) {
-	l := NewLayout(64, 4096)
+	l := pageLayout(t)
 	f := func(v uint32, off uint8) bool {
 		img := NewImage(l)
 		addr := Addr(int(off)%1000) &^ 3
@@ -226,5 +235,82 @@ func TestQuickFlagDetection(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestImageCoversTheAllocatedPrefix pins what an image costs: the pages
+// allocated when it is built, whatever the capacity.
+func TestImageCoversTheAllocatedPrefix(t *testing.T) {
+	for _, heap := range []int64{1 << 20, 64 << 20} {
+		l := NewLayout(64, heap)
+		if n := len(NewImage(l).data) + len(NewPrivateTable(l)) + l.UsedLines(); n != 0 {
+			t.Errorf("heap %d: empty layout built %d bytes and lines", heap, n)
+		}
+		l.Alloc(100, 0)
+		l.AlignToPage()
+		l.Alloc(5000, 64)
+		img, pt := NewImage(l), NewPrivateTable(l)
+		if len(img.data) != 3*PageSize || len(img.state) != 3*PageSize/64 || len(pt) != len(img.state) {
+			t.Errorf("heap %d: image %d B, %d states, private %d; want 3 pages",
+				heap, len(img.data), len(img.state), len(pt))
+		}
+		if want := (PageSize + 5056) / 64; l.UsedLines() != want {
+			t.Errorf("heap %d: layout describes %d lines, want %d", heap, l.UsedLines(), want)
+		}
+		// The alignment gap is in range and unallocated.
+		if l.InHeap(2048, 8) || !l.InHeap(PageSize+5000, 8) {
+			t.Errorf("heap %d: InHeap wrong around the alignment gap", heap)
+		}
+		if base, lines := l.BlockOf(2048); base != 32 || lines != 1 {
+			t.Errorf("heap %d: gap line is block (%d,%d), want (32,1)", heap, base, lines)
+		}
+	}
+}
+
+// TestFillPatternIsFlagWordEverywhere checks the 8-byte and doubling-copy
+// fills against the definition — every longword is the flag — over block
+// sizes on both sides of the seed, odd line counts, and a length that is a
+// multiple of 4 but not of 8.
+func TestFillPatternIsFlagWordEverywhere(t *testing.T) {
+	check := func(name string, b []byte) {
+		t.Helper()
+		for i := 0; i+4 <= len(b); i += 4 {
+			if got := uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24; got != FlagWord {
+				t.Fatalf("%s: longword at %d = %#x", name, i, got)
+			}
+		}
+	}
+	for _, n := range []int{0, 4, 8, 12, 60, 64, 68, 100, 128, 132, 1 << 10, 4096 + 4, 3 * 4096} {
+		b := make([]byte, n+8)
+		fillFlag(b[4 : 4+n])
+		check(fmt.Sprintf("fillFlag(%d)", n), b[4:4+n])
+		for _, i := range []int{0, 1, 2, 3, n + 4, n + 5, n + 6, n + 7} {
+			if b[i] != 0 {
+				t.Fatalf("fillFlag(%d) wrote outside its range at %d", n, i-4)
+			}
+		}
+	}
+	for _, lineSize := range []int{8, 64, 128} {
+		for _, blockLines := range []int{1, 2, 3, 5, 7, 17, 33} {
+			l := NewLayout(lineSize, 1<<20)
+			bs := blockLines * lineSize
+			a, err := l.Alloc(int64(3*bs), bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := NewImage(l)
+			check(fmt.Sprintf("NewImage line %d", lineSize), img.data)
+			for i := range img.data {
+				img.data[i] = 0
+			}
+			mid, _ := l.BlockOf(a + Addr(bs))
+			img.FillFlag(mid)
+			check(fmt.Sprintf("FillFlag %dx%d", blockLines, lineSize), img.BlockData(mid))
+			for i, v := range img.data {
+				if in := i >= bs && i < 2*bs; !in && v != 0 {
+					t.Fatalf("FillFlag %dx%d wrote byte %d outside the block", blockLines, lineSize, i)
+				}
+			}
+		}
 	}
 }

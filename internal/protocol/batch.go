@@ -101,6 +101,7 @@ func (b *Batch) note(addr memory.Addr, size int, write bool) {
 
 // LoadF64 reads a float64 without a per-access check.
 func (b *Batch) LoadF64(addr memory.Addr) float64 {
+	b.p.checkHeap(addr, 8, "reads")
 	b.note(addr, 8, false)
 	v := b.p.rawRead(addr, 8)
 	if debugBatchFlagReads && uint32(v) == memory.FlagWord && uint32(v>>32) == memory.FlagWord {
@@ -118,30 +119,35 @@ var debugBatchFlagReads = false
 
 // LoadU64 reads a 64-bit integer without a per-access check.
 func (b *Batch) LoadU64(addr memory.Addr) uint64 {
+	b.p.checkHeap(addr, 8, "reads")
 	b.note(addr, 8, false)
 	return b.p.rawRead(addr, 8)
 }
 
 // LoadU32 reads a 32-bit integer without a per-access check.
 func (b *Batch) LoadU32(addr memory.Addr) uint32 {
+	b.p.checkHeap(addr, 4, "reads")
 	b.note(addr, 4, false)
 	return uint32(b.p.rawRead(addr, 4))
 }
 
 // StoreF64 writes a float64 without a per-access check.
 func (b *Batch) StoreF64(addr memory.Addr, v float64) {
+	b.p.checkHeap(addr, 8, "writes")
 	b.note(addr, 8, true)
 	b.p.rawWrite(addr, 8, math.Float64bits(v))
 }
 
 // StoreU64 writes a 64-bit integer without a per-access check.
 func (b *Batch) StoreU64(addr memory.Addr, v uint64) {
+	b.p.checkHeap(addr, 8, "writes")
 	b.note(addr, 8, true)
 	b.p.rawWrite(addr, 8, v)
 }
 
 // StoreU32 writes a 32-bit integer without a per-access check.
 func (b *Batch) StoreU32(addr memory.Addr, v uint32) {
+	b.p.checkHeap(addr, 4, "writes")
 	b.note(addr, 4, true)
 	b.p.rawWrite(addr, 4, uint64(v))
 }
@@ -177,6 +183,7 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 		if r.Bytes <= 0 {
 			continue
 		}
+		p.checkHeap(r.Base, r.Bytes, "batches")
 		first := lay.LineOf(r.Base)
 		last := lay.LineOf(r.Base + memory.Addr(r.Bytes) - 1)
 		linePairs += last - first + 1

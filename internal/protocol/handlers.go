@@ -68,13 +68,17 @@ func (p *Proc) sendHome(home int, m *pmsg, cat stats.TimeCategory) {
 	p.send(home, m, cat)
 }
 
+// wakeMsg is the one wake-up message every wake sends: a wake-up carries
+// nothing but its kind, and neither send nor handle writes to it.
+var wakeMsg = &pmsg{kind: mWake}
+
 // wake nudges a stalled processor to re-evaluate its stall condition. It
 // models the shared-memory visibility of protocol state within a group.
 func (p *Proc) wake(dst int) {
 	if dst == p.id {
 		return
 	}
-	p.sys.net.Send(p.sp, dst, 0, &pmsg{kind: mWake})
+	p.sys.net.Send(p.sp, dst, 0, wakeMsg)
 }
 
 // wakeAll wakes every waiter in the set, in processor order so the

@@ -245,6 +245,7 @@ func (p *Proc) LoadU32(addr memory.Addr) uint32 {
 }
 
 func (p *Proc) load(addr memory.Addr, size int, fp bool) uint64 {
+	p.checkHeap(addr, size, "reads")
 	if p.sys.cfg.Hardware {
 		return p.rawRead(addr, size)
 	}
@@ -265,11 +266,17 @@ func flagHit(v uint64, size int) bool {
 	return uint32(v) == memory.FlagWord
 }
 
-func (p *Proc) rawRead(addr memory.Addr, size int) uint64 {
+// checkHeap panics unless [addr, addr+size) lies inside an allocation. Every
+// access passes through it first: the layout, the images and the state
+// tables cover only the allocated heap, so nothing may be indexed before it.
+func (p *Proc) checkHeap(addr memory.Addr, size int, verb string) {
 	if !p.sys.lay.InHeap(addr, size) {
-		panic(fmt.Sprintf("protocol: proc %d reads %d bytes at %d outside the allocated heap (%d bytes used)",
-			p.id, size, addr, p.sys.lay.Used()))
+		panic(fmt.Sprintf("protocol: proc %d %s %d bytes at %d outside the allocated heap (%d bytes used)",
+			p.id, verb, size, addr, p.sys.lay.Used()))
 	}
+}
+
+func (p *Proc) rawRead(addr memory.Addr, size int) uint64 {
 	if size == 4 {
 		return uint64(p.grp.img.ReadU32(addr))
 	}
@@ -277,10 +284,6 @@ func (p *Proc) rawRead(addr memory.Addr, size int) uint64 {
 }
 
 func (p *Proc) rawWrite(addr memory.Addr, size int, v uint64) {
-	if !p.sys.lay.InHeap(addr, size) {
-		panic(fmt.Sprintf("protocol: proc %d writes %d bytes at %d outside the allocated heap (%d bytes used)",
-			p.id, size, addr, p.sys.lay.Used()))
-	}
 	if size == 4 {
 		p.grp.img.WriteU32(addr, uint32(v))
 	} else {
@@ -411,6 +414,7 @@ func (p *Proc) StoreU64(addr memory.Addr, v uint64) { p.store(addr, 8, v) }
 func (p *Proc) StoreU32(addr memory.Addr, v uint32) { p.store(addr, 4, uint64(v)) }
 
 func (p *Proc) store(addr memory.Addr, size int, v uint64) {
+	p.checkHeap(addr, size, "writes")
 	if p.sys.cfg.Hardware {
 		p.rawWrite(addr, size, v)
 		return

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/memory"
@@ -666,4 +667,136 @@ func TestStatsResetExcludesInit(t *testing.T) {
 	if s.Stats().Cycles <= 0 {
 		t.Error("parallel time not measured after reset")
 	}
+}
+
+// TestAllocBeforeRunSeesHomeOwnership pins the initial-ownership invariant
+// across its move from allocation time to the start of Run: allocating
+// builds no image or table, and the first instruction of the program finds
+// every allocated block exclusive and zero-filled at its home processor's
+// group (and in the home's private table), invalid and flag-filled
+// everywhere else — alignment gaps and the page tail included — for every
+// allocation call and under every protocol variant.
+func TestAllocBeforeRunSeesHomeOwnership(t *testing.T) {
+	for _, cfg := range []Config{
+		{NumProcs: 8, Clustering: 1},
+		{NumProcs: 8, Clustering: 4},
+		{NumProcs: 8, Clustering: 4, Migrate: true},
+		{NumProcs: 8, Clustering: 1, Migrate: true},
+		{NumProcs: 4, Hardware: true},
+	} {
+		cfg.ProcsPerNode, cfg.HeapBytes = 4, 1<<20
+		name := fmt.Sprintf("p%d c%d migrate=%v hardware=%v", cfg.NumProcs, cfg.Clustering, cfg.Migrate, cfg.Hardware)
+		s := New(cfg)
+		n := cfg.NumProcs
+		small := s.Alloc(100, 0) // one block, then a gap to the next page
+		plain := s.Alloc(3*memory.PageSize, 64)
+		pinned := s.AllocPinned(memory.PageSize+200, 128)
+		placed := s.AllocPlaced(2*memory.PageSize, 2048, 3)
+		homed := s.AllocHomed(3*memory.PageSize, 192, func(off int64) int { return int(off/memory.PageSize) + 1 })
+		for _, g := range s.groups {
+			if g.img != nil {
+				t.Fatalf("%s: group %d has an image before Run", name, g.id)
+			}
+		}
+		for _, p := range s.procs {
+			if p.priv != nil {
+				t.Fatalf("%s: proc %d has a private table before Run", name, p.id)
+			}
+		}
+		if s.liveHome != nil {
+			t.Fatalf("%s: live-home table built before Run", name)
+		}
+		// Page homes as each call documents them; the round-robin cursor
+		// runs through Alloc and AllocPinned only.
+		wantHome := map[memory.Addr]int{
+			small: 0, plain: 1 % n, plain + 2*memory.PageSize: 3 % n,
+			pinned: 4 % n, pinned + memory.PageSize: 5 % n,
+			placed: 3, placed + memory.PageSize: 3,
+			homed: 1, homed + memory.PageSize: 2, homed + 2*memory.PageSize: 3,
+		}
+		s.Run(func(p *Proc) {
+			if p.id != 0 {
+				return
+			}
+			for a, h := range wantHome {
+				if got := s.homeProc(a); got != h {
+					t.Errorf("%s: page at %d homed at %d, want %d", name, a, got, h)
+				}
+			}
+			lay := s.lay
+			imgLines := int(lay.Used()+memory.PageSize-1) / memory.PageSize * memory.PageSize / lay.LineSize()
+			for li := 0; li < imgLines; li++ {
+				addr := lay.LineAddr(li)
+				home := -1 // unallocated: nobody's
+				if li < lay.UsedLines() && lay.InHeap(addr, 1) {
+					base, _ := lay.BlockOf(addr)
+					home = s.homeProc(lay.LineAddr(base))
+					if got := s.HomeOf(base); got != home {
+						t.Errorf("%s: HomeOf(%d) = %d at start, want the configured home %d", name, base, got, home)
+					}
+				}
+				for _, g := range s.groups {
+					want, word := memory.Invalid, uint32(memory.FlagWord)
+					if home >= 0 && s.procs[home].grp == g {
+						want, word = memory.Exclusive, 0
+					}
+					if got := g.img.State(li); got != want {
+						t.Fatalf("%s: line %d (home %d) is %v in group %d, want %v", name, li, home, got, g.id, want)
+					}
+					for off := 0; off < lay.LineSize(); off += 4 {
+						if got := g.img.ReadU32(addr + memory.Addr(off)); got != word {
+							t.Fatalf("%s: line %d (home %d) holds %#x in group %d, want %#x", name, li, home, got, g.id, word)
+						}
+					}
+				}
+				for _, q := range s.procs {
+					if q.priv == nil {
+						continue
+					}
+					want := memory.Invalid
+					if q.id == home {
+						want = memory.Exclusive
+					}
+					if got := q.priv.Get(li); got != want {
+						t.Fatalf("%s: line %d (home %d) is %v in proc %d's private table, want %v", name, li, home, got, q.id, want)
+					}
+				}
+			}
+		})
+		if smp := cfg.Clustering > 1 && !cfg.Hardware; (s.procs[0].priv != nil) != smp {
+			t.Errorf("%s: private tables built = %v, want %v", name, !smp, smp)
+		}
+		if mig := cfg.Migrate && !cfg.Hardware; (s.liveHome != nil) != mig {
+			t.Errorf("%s: live-home table built = %v, want %v", name, !mig, mig)
+		}
+		if err := s.CheckCoherence(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestWakeDoesNotAllocate pins the shared wake-up message: a burst of 1,000
+// wake-ups, after one burst has grown the receiver's inbox and depth buffer
+// to fit, allocates nothing, where a message per wake-up allocated 1,000.
+func TestWakeDoesNotAllocate(t *testing.T) {
+	s := testSystem(4, 4)
+	s.Run(func(p *Proc) {
+		if p.id != 0 {
+			return // wait in the final barrier, handling wake-ups
+		}
+		burst := func() {
+			for i := 0; i < 1000; i++ {
+				p.wake(1)
+			}
+		}
+		burst()
+		p.Compute(1 << 20) // proc 1 drains its inbox
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		burst()
+		runtime.ReadMemStats(&b)
+		if n := b.Mallocs - a.Mallocs; n != 0 {
+			t.Errorf("1000 wake-ups cost %d mallocs, want 0", n)
+		}
+	})
 }

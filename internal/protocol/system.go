@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/memchan"
@@ -11,7 +12,9 @@ import (
 
 // System is one configured simulated cluster: processors, sharing groups,
 // interconnect, shared heap and statistics. Build one with New, allocate
-// shared data, then execute a parallel program with Run.
+// shared data, then execute a parallel program with Run. Allocation only
+// records the layout, the page homes and the placement; the heap images and
+// state tables are built at Run, over what was allocated (see materialize).
 type System struct {
 	cfg   Config
 	eng   *sim.Engine
@@ -22,14 +25,18 @@ type System struct {
 	groups []*group
 	procs  []*Proc
 
-	// pageHome[pg] is the home processor of virtual page pg.
-	pageHome   []int16
-	nextHome   int
+	// pageHome[pg] is the home processor of virtual page pg: two bytes per
+	// page of capacity, the one structure not sized to the allocated heap.
+	pageHome []int16
+	nextHome int
+	// started is set when Run materializes the images: from then on the
+	// tables have their final extent and allocation is refused.
+	started    bool
 	numLocks   int
 	numBarrier int
 
-	// liveHome[b] (indexed by block base line, allocated only under
-	// Migrate) is the block's current home after online migration, or -1
+	// liveHome[b] (indexed by block base line, built by materialize only
+	// under Migrate) is the block's current home after online migration, or -1
 	// while it still lives at the configured pageHome. Written only by a
 	// block's new home inside the migration handshake — successive writes
 	// to one block are ordered by the handshake's happens-before chain,
@@ -197,12 +204,6 @@ func New(cfg Config) *System {
 	}
 	s.pageHome = make([]int16, cfg.HeapBytes/memory.PageSize)
 	s.statBase = make([]stats.Proc, cfg.NumProcs)
-	if cfg.Migrate && !cfg.Hardware {
-		s.liveHome = make([]int32, s.lay.NumLines())
-		for i := range s.liveHome {
-			s.liveHome[i] = -1
-		}
-	}
 
 	groupSize := cfg.Clustering
 	if cfg.Hardware {
@@ -213,7 +214,6 @@ func New(cfg Config) *System {
 	for gi := range s.groups {
 		g := &group{
 			id:         gi,
-			img:        memory.NewImage(s.lay),
 			miss:       make(map[int]*missEntry),
 			locks:      make(map[int]int),
 			downgrades: make(map[int]*dgEntry),
@@ -243,9 +243,6 @@ func New(cfg Config) *System {
 		}
 		p.sp.Stats = p.st
 		p.holdingLock = -1
-		if cfg.SMP() && !cfg.Hardware {
-			p.priv = memory.NewPrivateTable(s.lay)
-		}
 		p.lockQueues = make(map[int][]int)
 		p.lockHeld = make(map[int]bool)
 		p.lockGranted = make(map[int]bool)
@@ -342,9 +339,6 @@ func (s *System) HomeOf(baseLine int) int {
 	return s.homeProc(s.lay.LineAddr(baseLine))
 }
 
-// groupOf returns the sharing group of processor p.
-func (s *System) groupOf(p int) *group { return s.procs[p].grp }
-
 // fastSyncBarrier reports whether the hierarchical FastSync barrier is in
 // effect.
 func (s *System) fastSyncBarrier() bool {
@@ -397,21 +391,33 @@ func (s *System) AllocPinned(size int64, blockSize int) memory.Addr {
 }
 
 // AllocHomed allocates with homes chosen per page by the callback, which
-// receives the page-aligned offset from the start of the allocation.
+// receives the page-aligned offset from the start of the allocation. Like
+// every Alloc variant it must run before Run. Each block starts exclusive and
+// zero-filled at its home processor's group; materialize arranges that from
+// the page homes recorded here.
 func (s *System) AllocHomed(size int64, blockSize int, home func(off int64) int) memory.Addr {
+	if s.started {
+		panic("shasta: Alloc after Run started: the heap images and state tables are sized " +
+			"to the allocated heap when Run begins; allocate all shared data before Run")
+	}
 	if blockSize > memory.PageSize {
-		panic(fmt.Sprintf("protocol: block size %d exceeds page size", blockSize))
+		panic(fmt.Sprintf("shasta: Alloc: block size %d exceeds the %d-byte page, the unit of home assignment",
+			blockSize, memory.PageSize))
 	}
 	// Allocations never share a page, so per-page homes stay consistent.
 	s.lay.AlignToPage()
 	addr, err := s.lay.Alloc(size, blockSize)
 	if err != nil {
-		panic(err)
+		msg := fmt.Sprintf("shasta: Alloc(%d, %d): %v", size, blockSize, err)
+		if errors.Is(err, memory.ErrHeapExhausted) {
+			msg += fmt.Sprintf(" of Config.HeapBytes %d; raise Config.HeapBytes — capacity is a limit, "+
+				"a run builds only what its program allocates", s.cfg.HeapBytes)
+		}
+		panic(msg)
 	}
 	// Assign page homes.
 	firstPage := s.lay.PageOf(addr)
-	endAddr := addr + memory.Addr(size)
-	lastPage := s.lay.PageOf(endAddr - 1)
+	lastPage := s.lay.PageOf(addr + memory.Addr(size) - 1)
 	for pg := firstPage; pg <= lastPage; pg++ {
 		off := int64(pg-firstPage) * memory.PageSize
 		h := home(off) % s.cfg.NumProcs
@@ -423,23 +429,44 @@ func (s *System) AllocHomed(size int64, blockSize int, home func(off int64) int)
 	// Allocations are migration candidates by default; AllocPinned opts
 	// out after the fact.
 	s.lay.SetMigratable(addr, size, true)
-	// Initialize ownership: each block starts exclusive (zero-filled) at
-	// its home processor's group.
-	for li := s.lay.LineOf(addr); li < s.lay.LineOf(endAddr-1)+1; {
-		base, lines := s.lay.BlockOf(s.lay.LineAddr(li))
-		h := s.homeProc(s.lay.LineAddr(base))
-		g := s.groupOf(h)
-		data := g.img.BlockData(base)
-		for i := range data {
-			data[i] = 0
+	return addr
+}
+
+// materialize builds what Run needs of the heap, sized to what was
+// allocated: every group's image, the private state tables (SMP-Shasta) and
+// the live-home table (online migration). It then arranges initial
+// ownership: each allocated block starts exclusive and zero-filled at its
+// home processor's group, invalid and flag-filled everywhere else.
+func (s *System) materialize() {
+	s.started = true
+	for _, g := range s.groups {
+		g.img = memory.NewImage(s.lay)
+	}
+	if s.cfg.SMP() && !s.cfg.Hardware {
+		for _, p := range s.procs {
+			p.priv = memory.NewPrivateTable(s.lay)
 		}
-		g.img.SetBlockState(base, memory.Exclusive)
-		if hp := s.procs[h]; hp.priv != nil {
+	}
+	if s.cfg.Migrate && !s.cfg.Hardware {
+		s.liveHome = make([]int32, s.lay.UsedLines())
+		for i := range s.liveHome {
+			s.liveHome[i] = -1
+		}
+	}
+	for li, n := 0, s.lay.UsedLines(); li < n; {
+		addr := s.lay.LineAddr(li)
+		base, lines := s.lay.BlockOf(addr)
+		li = base + lines
+		if !s.lay.InHeap(addr, 1) {
+			continue // alignment gap before a page-aligned allocation
+		}
+		hp := s.procs[s.homeProc(addr)]
+		clear(hp.grp.img.BlockData(base))
+		hp.grp.img.SetBlockState(base, memory.Exclusive)
+		if hp.priv != nil {
 			hp.priv.SetBlock(s.lay, base, memory.Exclusive)
 		}
-		li = base + lines
 	}
-	return addr
 }
 
 // AllocLock creates an application lock, homed round-robin.
@@ -457,6 +484,7 @@ func (s *System) lockHome(id int) int { return id % s.cfg.NumProcs }
 // keeps every processor servicing protocol messages (directory requests,
 // forwards) until all processors have finished their program.
 func (s *System) Run(body func(*Proc)) int64 {
+	s.materialize()
 	finish := s.eng.Run(func(sp *sim.Proc) {
 		p := s.procs[sp.ID]
 		body(p)
@@ -534,7 +562,7 @@ func (s *System) CheckQuiescent() error {
 		if n := len(g.batchMarks); n != 0 {
 			return fmt.Errorf("group %d: %d batch marks remain", g.id, n)
 		}
-		for li := 0; li < s.lay.NumLines(); li++ {
+		for li := 0; li < s.lay.UsedLines(); li++ {
 			if st := g.img.State(li); st != memory.Invalid && !st.Valid() {
 				return fmt.Errorf("group %d: line %d left in state %v", g.id, li, st)
 			}
@@ -567,7 +595,7 @@ func (s *System) CheckCoherence() error {
 	if s.cfg.Hardware {
 		return nil
 	}
-	for li := 0; li < s.lay.NumLines(); li++ {
+	for li := 0; li < s.lay.UsedLines(); li++ {
 		excl, valid := -1, 0
 		for _, g := range s.groups {
 			switch g.img.State(li) {
@@ -595,7 +623,7 @@ func (s *System) CheckValueCoherence() error {
 		return nil
 	}
 	lineSize := s.lay.LineSize()
-	for li := 0; li < s.lay.NumLines(); li++ {
+	for li := 0; li < s.lay.UsedLines(); li++ {
 		var ref []byte
 		refGroup := -1
 		for _, g := range s.groups {

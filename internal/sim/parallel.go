@@ -122,6 +122,7 @@ func (e *Engine) runWindows() int64 {
 		e.resolveFences(T)
 		// Everything below the window start is final; deliver it.
 		if T > lastFloor {
+			e.floor = T
 			e.flushTo(T)
 			lastFloor = T
 		}
@@ -220,6 +221,11 @@ func (e *Engine) runDomain(di int) {
 		if next == nil || bestT >= end {
 			return
 		}
+		if len(e.domains) == 1 {
+			// A lone domain's window never ends, but its earliest next-run
+			// time is the global one: nothing can happen below it any more.
+			e.floor = bestT
+		}
 		if next.state == stateBlocked {
 			if a, ok := next.PendingArrival(); ok && a > next.now {
 				next.now = a
@@ -231,23 +237,14 @@ func (e *Engine) runDomain(di int) {
 	}
 }
 
-// depthBatch bounds how many pending depth events a processor accumulates
-// before a floor advance folds them. Any batching is safe: the events form
-// a multiset keyed by virtual time, so folding in chunks commutes.
-const depthBatch = 4096
-
-// flushTo delivers all buffered emissions with time strictly below floor
-// (in deterministic merge order) and folds full batches of pending
-// inbox-depth events below floor. Called only from the scheduler's control
-// thread — once per window, when the global virtual-time floor advances —
-// and once with floor = MaxInt64 at the end of Run, which folds every
-// remaining depth event.
+// flushTo delivers all buffered emissions with time strictly below floor, in
+// deterministic merge order. Called only from the scheduler's control
+// thread: once per window, when the global virtual-time floor advances, and
+// once with floor = MaxInt64 at the end of Run.
 func (e *Engine) flushTo(floor int64) {
-	final := floor == math.MaxInt64
 	list := e.flushList[:0]
 	for _, p := range e.procs {
-		if p.emitStart < len(p.emits) || len(p.depthPend) >= depthBatch ||
-			final && len(p.depthPend) > 0 {
+		if p.emitStart < len(p.emits) {
 			list = append(list, p)
 		}
 	}
@@ -258,9 +255,6 @@ func (e *Engine) flushTo(floor int64) {
 	}
 	e.mergeEmits(floor)
 	for _, p := range list {
-		if final || len(p.depthPend) >= depthBatch {
-			p.applyDepth(floor)
-		}
 		if p.emitStart == len(p.emits) {
 			p.emits, p.emitStart = p.emits[:0], 0
 		}
@@ -331,25 +325,12 @@ func (e *Engine) mergeEmits(floor int64) {
 }
 
 // applyDepth folds pending depth events with time strictly below floor into
-// the running depth, updating the peak. Events at one instant fold pushes
-// before pops: a message popped at its own send time (zero-latency receive)
-// still occupied the inbox momentarily.
+// the running depth, updating the peak, and keeps the rest. Events at one
+// instant fold pushes before pops: a message popped at its own send time
+// (zero-latency receive) still occupied the inbox momentarily.
 func (p *Proc) applyDepth(floor int64) {
-	due := p.depthDue[:0]
-	keep := p.depthPend[:0]
-	for _, ev := range p.depthPend {
-		if ev.time < floor {
-			due = append(due, ev)
-		} else {
-			keep = append(keep, ev)
-		}
-	}
-	p.depthPend = keep
-	p.depthDue = due[:0]
-	if len(due) == 0 {
-		return
-	}
-	slices.SortFunc(due, func(a, b depthEvent) int {
+	pend := p.depthPend
+	slices.SortFunc(pend, func(a, b depthEvent) int {
 		if a.time != b.time {
 			return cmp.Compare(a.time, b.time)
 		}
@@ -361,8 +342,9 @@ func (p *Proc) applyDepth(floor int64) {
 		}
 		return 1
 	})
-	for _, ev := range due {
-		if ev.pop {
+	due := 0
+	for ; due < len(pend) && pend[due].time < floor; due++ {
+		if pend[due].pop {
 			p.depth--
 		} else {
 			p.depth++
@@ -371,4 +353,5 @@ func (p *Proc) applyDepth(floor int64) {
 			}
 		}
 	}
+	p.depthPend = pend[:copy(pend, pend[due:])]
 }

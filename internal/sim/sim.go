@@ -31,6 +31,7 @@ import (
 	"iter"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,10 +117,9 @@ type Proc struct {
 	// them; emitStart is the already-flushed prefix.
 	emits     []emitRec
 	emitStart int
-	// depthPend buffers inbox-depth events until the floor passes them;
-	// depthDue is the reusable scratch for folding a batch.
+	// depthPend buffers inbox-depth events until the floor passes them
+	// (see noteDepth).
 	depthPend []depthEvent
-	depthDue  []depthEvent
 	depth     int
 	peakDepth int
 }
@@ -223,19 +223,44 @@ func (p *Proc) post(dst int, arrival int64, payload any) {
 	}
 }
 
-// enqueue pushes a message into the inbox and buffers its depth event for
-// the next flush.
+// enqueue pushes a message into the inbox and buffers its depth event.
 func (p *Proc) enqueue(m Message) {
 	p.inbox.push(m)
-	p.depthPend = append(p.depthPend, depthEvent{time: m.sendTime})
+	p.noteDepth(depthEvent{time: m.sendTime})
 }
 
 // popInbox removes the earliest deliverable message and buffers the
 // matching depth event at the pop's virtual time.
 func (p *Proc) popInbox() Message {
 	m := p.inbox.pop()
-	p.depthPend = append(p.depthPend, depthEvent{time: p.now, pop: true})
+	p.noteDepth(depthEvent{time: p.now, pop: true})
 	return m
+}
+
+// depthChunk is the size, in events, of a processor's depth buffer: 4 KiB,
+// allocated once per run. Any batching is safe — the events form a multiset
+// keyed by virtual time, so folding in chunks commutes.
+const depthChunk = 256
+
+// noteDepth buffers one inbox-depth event, making room first if the buffer is
+// full. Called by whoever owns the processor's inbox at that moment: its
+// conflict domain during a window, the coordinator at the boundary.
+func (p *Proc) noteDepth(ev depthEvent) {
+	if len(p.depthPend) == cap(p.depthPend) {
+		p.foldDepth()
+	}
+	p.depthPend = append(p.depthPend, ev)
+}
+
+// foldDepth makes room in a full depth buffer: it folds what lies below the
+// engine's floor, so the buffer holds only the events of the current window
+// plus the last partial chunk, and grows it only if half of it is still
+// above the floor (or it does not exist yet).
+func (p *Proc) foldDepth() {
+	p.applyDepth(p.eng.floor)
+	if len(p.depthPend) >= cap(p.depthPend)/2 {
+		p.depthPend = slices.Grow(p.depthPend, max(cap(p.depthPend), depthChunk))
+	}
 }
 
 // TryRecv returns the earliest message whose arrival time has been reached,
@@ -460,6 +485,11 @@ type Engine struct {
 	// window's domains run, except that a lone domain's fences lower it
 	// (see Proc.Fence).
 	windowEnd int64
+	// floor is a lower bound on the virtual time of everything still to
+	// happen: the current window's start, or a lone domain's earliest
+	// next-run time. Written only by the coordinator between windows (or by
+	// the lone domain it runs), so domains read it freely.
+	floor int64
 	// domNext, activeBuf, flushList and emitHeap are reusable scratch
 	// buffers for the window loop, the flush and the emission merge (hot
 	// paths at high processor counts).
@@ -557,6 +587,9 @@ func (e *Engine) Run(body func(*Proc)) int64 {
 	// Fences whose cut lies beyond the last action observe the final state.
 	e.resolveFences(math.MaxInt64)
 	e.flushTo(math.MaxInt64)
+	for _, p := range e.procs {
+		p.applyDepth(math.MaxInt64)
+	}
 	return maxFinish
 }
 
@@ -569,6 +602,7 @@ func (e *Engine) resetRun(body func(*Proc)) {
 	e.fences = nil
 	e.windowCount = 0
 	e.flushVisits = 0
+	e.floor = 0
 	for _, p := range e.procs {
 		p.body = body
 		p.state = stateReady
@@ -578,7 +612,7 @@ func (e *Engine) resetRun(body func(*Proc)) {
 		p.sendSeq = 0
 		p.outbox = nil
 		p.emits, p.emitStart = nil, 0
-		p.depthPend, p.depthDue = nil, nil
+		p.depthPend = p.depthPend[:0]
 		p.depth, p.peakDepth = 0, 0
 		p.slices = 0
 	}

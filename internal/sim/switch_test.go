@@ -117,8 +117,8 @@ func pingPong(rounds int) func(*Proc) {
 // TestSendRecvDoesNotAllocate checks that delivering a message costs no heap
 // allocation in steady state, inline and with workers: 10,000 more round
 // trips must add at most a few dozen mallocs, where boxing each message once
-// on its way into the inbox would add 20,000. Both runs are long enough to
-// fold a full batch of depth events, so that buffer's growth cancels. The two
+// on its way into the inbox would add 20,000. (The depth buffers are one
+// chunk per processor, kept from run to run, so they cancel.) The two
 // processors are separate domains a lookahead apart, so every message is
 // staged in an outbox and merged at a window boundary, and every window has
 // one active domain (no worker goroutine to allocate).
@@ -136,6 +136,60 @@ func TestSendRecvDoesNotAllocate(t *testing.T) {
 				parallel, d, long-short, grown, base)
 		}
 	}
+}
+
+// TestDepthBuffersStayBounded pins what inbox-depth accounting holds: after
+// 100,000 round trips no processor buffers more than 1,024 depth events (one
+// 256-event chunk in practice; folding at 4,096 grew two 8,192-event buffers,
+// and a lone domain, whose window never ends, buffered the whole run), a
+// processor that receives nothing buffers nothing, and folding in small
+// chunks leaves every peak where the one-domain reference has it. Processor 0
+// keeps two round trips in flight — one inside its pair, one across — so the
+// peaks are not all 1.
+func TestDepthBuffersStayBounded(t *testing.T) {
+	const rounds = 50000
+	run := func(l layout) (peaks [4]int, e *Engine) {
+		e = newTestEngine(4, l)
+		e.Run(func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				switch p.ID {
+				case 0:
+					p.Send(1, 10, nil)
+					p.Send(2, 60, nil)
+					p.WaitRecv(stats.Read, "pong")
+					p.WaitRecv(stats.Read, "pong")
+				case 1:
+					p.WaitRecv(stats.Read, "ping")
+					p.Send(0, 110, nil)
+				case 2:
+					p.WaitRecv(stats.Read, "ping")
+					p.Send(0, 60, nil)
+				}
+			}
+		})
+		for i := range peaks {
+			peaks[i] = e.Proc(i).PeakInboxDepth()
+		}
+		return peaks, e
+	}
+	want, _ := run(layouts[0])
+	if want != [4]int{2, 1, 1, 0} {
+		t.Fatalf("one-domain peaks = %v, want [2 1 1 0]", want)
+	}
+	eachLayout(t, func(t *testing.T, l layout) {
+		peaks, e := run(l)
+		if peaks != want {
+			t.Errorf("peaks = %v, want the one-domain reference %v", peaks, want)
+		}
+		for i := 0; i < 3; i++ {
+			if c := cap(e.Proc(i).depthPend); c > 1024 {
+				t.Errorf("proc %d buffers up to %d depth events after %d round trips, want at most 1024", i, c, 2*rounds)
+			}
+		}
+		if c := cap(e.Proc(3).depthPend); c != 0 {
+			t.Errorf("idle proc 3 holds a %d-event depth buffer", c)
+		}
+	})
 }
 
 // TestIdleFlushVisitsNoProcessor checks that the flush is paid per window,

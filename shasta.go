@@ -168,8 +168,11 @@ type Config struct {
 	Clustering int
 	// LineSize is the coherence line size in bytes; defaults to 64.
 	LineSize int
-	// HeapBytes is the shared heap capacity; defaults to 16 MiB (each
-	// sharing group holds its own image of the heap).
+	// HeapBytes is the shared heap capacity; defaults to 16 MiB. It is a
+	// limit, not a cost: every sharing group holds its own image of the
+	// heap, but images and state tables are built when Run starts and cover
+	// only the pages the program allocated. Raise it when an Alloc reports
+	// the heap exhausted.
 	HeapBytes int64
 	// Hardware disables the software protocol and checks entirely,
 	// modelling hardware-coherent execution within one SMP (the paper's
@@ -224,7 +227,9 @@ type Config struct {
 }
 
 // Cluster is a configured simulated cluster. Allocate shared data and
-// application locks, then call Run exactly once.
+// application locks, then call Run exactly once; an Alloc call after Run
+// has started panics, because the heap images are sized to the allocated
+// heap at that point.
 type Cluster struct {
 	sys *protocol.System
 }

@@ -1,6 +1,8 @@
 package shasta_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -179,5 +181,85 @@ func TestFalseSharingVsGranularity(t *testing.T) {
 	if fine >= coarse {
 		t.Fatalf("fine granularity should reduce false-sharing misses: 64B=%d 2048B=%d",
 			fine, coarse)
+	}
+}
+
+// TestClusterAllocIndependentOfCapacity pins that capacity is a limit, not a
+// cost: building a 64-processor cluster and running a two-page program
+// allocates the same (within 5%) at a 4 MiB and at a 64 MiB heap, where
+// sixteen capacity-sized group images made the second sixteen times the first.
+func TestClusterAllocIndependentOfCapacity(t *testing.T) {
+	rep := func(heap int64) uint64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		c := shasta.MustCluster(shasta.Config{Procs: 64, Clustering: 4, HeapBytes: heap})
+		arr := c.Alloc(2*4096, 64)
+		c.Run(func(p *shasta.Proc) {
+			p.StoreF64(arr+shasta.Addr(p.ID()*64), float64(p.ID()))
+			p.Barrier()
+			if got := p.LoadF64(arr + shasta.Addr((p.ID()+1)%64*64)); got != float64((p.ID()+1)%64) {
+				t.Errorf("proc %d read %v", p.ID(), got)
+			}
+		})
+		runtime.ReadMemStats(&b)
+		return b.TotalAlloc - a.TotalAlloc
+	}
+	rep(4 << 20) // warm: runtime and package one-offs
+	small, large := rep(4<<20), rep(64<<20)
+	if d := float64(large) - float64(small); d > 0.05*float64(small) || d < -0.05*float64(small) {
+		t.Errorf("a two-page program allocates %d B at a 4 MiB heap and %d B at 64 MiB, want within 5%%", small, large)
+	}
+}
+
+// TestAllocDiagnostics table-tests the misuses of the allocator and of the
+// heap it hands out: each is a panic whose message says what to change.
+func TestAllocDiagnostics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(c *shasta.Cluster)
+		want []string
+	}{
+		{"heap exhausted", func(c *shasta.Cluster) {
+			c.Alloc(4096, 64)
+			c.Alloc(8192, 64)
+		}, []string{"shasta: Alloc(8192, 64)", "heap exhausted: need 8192, have 4096", "raise Config.HeapBytes"}},
+		{"block larger than a page", func(c *shasta.Cluster) {
+			c.Alloc(8192, 8192)
+		}, []string{"shasta: Alloc", "block size 8192 exceeds the 4096-byte page"}},
+		{"non-positive size", func(c *shasta.Cluster) {
+			c.AllocPlaced(0, 64, 1)
+		}, []string{"shasta: Alloc(0, 64)", "non-positive size"}},
+		{"alloc from a running body", func(c *shasta.Cluster) {
+			c.Run(func(p *shasta.Proc) {
+				if p.ID() == 1 {
+					c.Alloc(64, 64)
+				}
+			})
+		}, []string{"shasta: Alloc after Run started", "before Run"}},
+		{"alloc after Run", func(c *shasta.Cluster) {
+			c.Run(func(*shasta.Proc) {})
+			c.AllocPinned(64, 64)
+		}, []string{"shasta: Alloc after Run started"}},
+		{"access past the allocated heap", func(c *shasta.Cluster) {
+			a := c.Alloc(4096, 64)
+			c.Run(func(p *shasta.Proc) {
+				if p.ID() == 0 {
+					p.StoreF64(a+4096, 1)
+				}
+			})
+		}, []string{"writes 8 bytes at 4096 outside the allocated heap (4096 bytes used)"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, w := range tc.want {
+					if !strings.Contains(msg, w) {
+						t.Errorf("panic %q does not contain %q", msg, w)
+					}
+				}
+			}()
+			tc.run(shasta.MustCluster(shasta.Config{Procs: 4, Clustering: 2, HeapBytes: 8192}))
+			t.Error("no panic")
+		})
 	}
 }
