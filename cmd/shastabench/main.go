@@ -10,16 +10,22 @@
 //	            [list | all | <experiment>...]
 //
 // Experiments: table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 micro anl
-// (plus the post-paper ablate, profile, pdes, sharing, races and scale
-// experiments; see 'shastabench list').
+// (plus the post-paper ablate, profile, sharing, races, scale, tail,
+// migrate and contention experiments; see 'shastabench list').
 //
-// -procs, -topology, -snapshot and -label drive the scale experiment:
-// -procs restricts the 16-256 processor sweep to one count, -topology
-// overrides the node arrangement ("NxG" = N processors per SMP node, G
-// nodes per uplink group; "N" alone keeps the interconnect flat), and
-// -snapshot writes the measurements as a shasta-bench/v1 JSON snapshot
-// named by -label for benchgate comparison. See PERFORMANCE.md for the
-// benchmarking workflow.
+// Every experiment runs to its end: a simulated run that fails prints
+// "failed" in its row or ends its experiment, the remaining experiments
+// still run, and the exit status is 1 with the failed cells named on
+// standard error. Standard output carries only the reports, which are
+// deterministic; per-experiment wall times go to standard error.
+//
+// -procs restricts the scale, tail and contention experiments to one
+// processor count, and -topology overrides the scale experiment's node
+// arrangement ("NxG" = N processors per SMP node, G nodes per uplink group;
+// "N" alone keeps the interconnect flat). -snapshot records every run the
+// selected experiments execute as a scenario of a shasta-bench/v1 JSON
+// snapshot named by -label, for benchgate comparison. See PERFORMANCE.md
+// for the benchmarking workflow.
 //
 // -migrate enables online home migration (see OBSERVABILITY.md §11) for
 // every application run, so any experiment's tables can be regenerated
@@ -42,7 +48,7 @@
 // -parallel gives the simulation engine more than one worker: the SMP
 // nodes active in a lookahead window run concurrently on a multi-core host
 // instead of one after another. Results are bit-identical either way (the
-// pdes experiment verifies this); the flag only affects host wall-clock
+// scale experiment verifies this); the flag only affects host wall-clock
 // time, and is off by default because one worker is the faster setting in
 // most measured cells (PERFORMANCE.md §5).
 package main
@@ -65,15 +71,15 @@ func main() {
 	obsvDir := flag.String("obsv", "", "directory receiving TRACE_*.jsonl traces and METRICS_*.json metrics per run")
 	parFlag := flag.Bool("parallel", false, "run the SMP nodes of a lookahead window on concurrent workers (results identical; see PERFORMANCE.md §5)")
 	injectRace := flag.String("inject-race", "", "races experiment: run only this injection mode (none, drop-lock, reorder-publish)")
-	procs := flag.Int("procs", 0, "scale experiment: run only this processor count (0 = full 16-256 sweep)")
+	procs := flag.Int("procs", 0, "scale, tail, contention: run only this processor count (0 = each experiment's own sweep)")
 	topology := flag.String("topology", "", "scale experiment: node arrangement NxG (procs per node x nodes per group; \"N\" = flat)")
-	snapshot := flag.String("snapshot", "", "scale experiment: write a shasta-bench/v1 snapshot to this file")
+	snapshot := flag.String("snapshot", "", "write every executed run as a scenario of a shasta-bench/v1 snapshot to this file")
 	label := flag.String("label", "", "snapshot label (default \"local\")")
 	migrateFlag := flag.Bool("migrate", false, "enable online home migration for every application run (see OBSERVABILITY.md §11)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments' runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit, after a garbage collection")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel] [-inject-race MODE] [-cpuprofile FILE] [-memprofile FILE] [list | all | <experiment>...]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: shastabench [-scale N] [-apps a,b,c] [-obsv DIR] [-parallel] [-migrate] [-inject-race MODE] [-procs N] [-topology NxG] [-snapshot FILE] [-label NAME] [-cpuprofile FILE] [-memprofile FILE] [list | all | <experiment>...]\n\nexperiments:\n")
 		for _, e := range harness.Experiments {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
 		}
@@ -96,18 +102,18 @@ func main() {
 		Topology:     *topology,
 		SnapshotPath: *snapshot,
 		BenchLabel:   *label,
+		Parallel:     *parFlag,
+		Migrate:      *migrateFlag,
+		ObsvDir:      *obsvDir,
 	}
 	if *appsFlag != "" {
 		opts.Apps = strings.Split(*appsFlag, ",")
 	}
-	harness.SetParallel(*parFlag)
-	harness.SetMigrate(*migrateFlag)
 	if *obsvDir != "" {
 		if err := os.MkdirAll(*obsvDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "shastabench: %v\n", err)
 			os.Exit(1)
 		}
-		harness.SetObsvDir(*obsvDir)
 	}
 
 	var ids []string
@@ -132,8 +138,12 @@ func main() {
 	os.Exit(code)
 }
 
-// runExperiments runs the experiments in order and returns the exit code.
+// runExperiments runs the experiments in order, each to its end whatever
+// the ones before it did, and returns the exit code: 1 if any experiment or
+// cell failed, with the cells named last.
 func runExperiments(ids []string, opts harness.Options) int {
+	code := 0
+	r := harness.NewRunner(opts)
 	for _, id := range ids {
 		exp, ok := harness.ByID(id)
 		if !ok {
@@ -142,13 +152,18 @@ func runExperiments(ids []string, opts harness.Options) int {
 		}
 		fmt.Printf("=== %s: %s ===\n", exp.ID, exp.Title)
 		start := time.Now()
-		if err := exp.Run(opts, os.Stdout); err != nil {
+		if err := exp.Run(r, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "shastabench: %s: %v\n", exp.ID, err)
-			return 1
+			code = 1
 		}
-		fmt.Printf("(%s in %.1fs)\n\n", exp.ID, time.Since(start).Seconds())
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", exp.ID, time.Since(start).Seconds())
 	}
-	return 0
+	if err := r.Finish(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "shastabench: %v\n", err)
+		code = 1
+	}
+	return code
 }
 
 // startProfiles starts the CPU profile, if one is asked for, and returns the

@@ -3,7 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestProfilesAreWrittenOrRefusedUpFront checks both halves of the profile
@@ -35,5 +38,34 @@ func TestProfilesAreWrittenOrRefusedUpFront(t *testing.T) {
 	}
 	if stop, err := startProfiles("", ""); err != nil || stop() != nil {
 		t.Errorf("no profiles asked for: start %v", err)
+	}
+}
+
+// TestFailedCellEndsNothingButTheExitStatus runs the one experiment cell
+// known to fail (EXPERIMENTS.md, "Known failure") ahead of another
+// experiment: the failure is a `failed` column and exit status 1, and the
+// experiment after it still prints its report.
+func TestFailedCellEndsNothingButTheExitStatus(t *testing.T) {
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	clean := runExperiments([]string{"micro"}, harness.Options{})
+	code := runExperiments([]string{"table2", "micro"}, harness.Options{Apps: []string{"Water-Nsq"}})
+	os.Stdout = stdout
+	if clean != 0 || code != 1 {
+		t.Errorf("exit codes %d for micro alone and %d with the failing cell, want 0 and 1", clean, code)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"=== table2:", "failed", "=== micro:", "intra-node 64B fetch"} {
+		if !strings.Contains(string(report), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, report)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro"
-	"repro/internal/apps"
 	"repro/internal/stats"
 )
 
@@ -17,8 +16,7 @@ import (
 //   - FastSync (hierarchical SMP barriers);
 //   - BroadcastDowngrades (SoftFLASH-style shootdowns vs the private
 //     state tables' selective downgrades).
-func Ablate(o Options, w io.Writer) error {
-	o = o.WithDefaults()
+func Ablate(r *Runner, w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "ablation\tworkload\ttime vs base\tmisses vs base\tmessages vs base\tdg msgs vs base")
 
@@ -50,14 +48,13 @@ func Ablate(o Options, w io.Writer) error {
 	}
 
 	for _, v := range variants {
-		baseCfg := shasta.Config{Procs: 16, Clustering: 4}
-		base, err := runApp(v.app, o.Scale, baseCfg, false)
+		cfg := smpConfig(16)
+		base, err := r.run(cell{v.app, r.o.Scale, cfg, false}, want{})
 		if err != nil {
 			return err
 		}
-		cfg := baseCfg
 		v.mod(&cfg)
-		mod, err := apps.Execute(apps.Registry[v.app](o.Scale), cfg, false)
+		mod, err := r.run(cell{v.app, r.o.Scale, cfg, false}, want{})
 		if err != nil {
 			return err
 		}

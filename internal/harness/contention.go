@@ -3,12 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"time"
 
 	"repro"
-	"repro/internal/apps"
 	"repro/internal/obsv"
 )
 
@@ -32,66 +28,48 @@ type contentionRun struct {
 	departSkew int64 // total barrier departure skew over generations
 	arriveSkew int64 // total barrier arrival skew over generations
 	gens       int   // barrier generations observed
-	ss         *obsv.SyncSet
-	result     apps.RunResult
-	wall       time.Duration
 }
 
-// contentionConfig builds the cell's configuration: SMP nodes of 4, and at
-// 64 processors the hierarchical uplink topology (matching the scale
-// experiment's arrangement).
-func contentionConfig(procs int, fastSync bool) shasta.Config {
-	cfg := shasta.Config{Procs: procs, Clustering: 4, FastSync: fastSync}
-	if procs > 16 {
-		cfg.NodesPerGroup = 4
-	}
-	return cfg
-}
-
-// execContention runs one cell with a trace collector and derives the sync
-// observatory's measurements from the trace.
-func execContention(o Options, app string, procs int, fastSync bool) (contentionRun, error) {
-	cfg := contentionConfig(procs, fastSync)
-	cfg.Parallel = parallel
+// execContention runs one cell — on the scale experiment's arrangement for
+// its processor count: SMP nodes of 4, and at 64 processors the
+// hierarchical uplink topology — with a trace collector, derives the sync
+// observatory's measurements from the trace, and leaves the sync and skew
+// reports under -obsv as SYNC_<cell>.txt and SKEW_<cell>.txt beside the
+// runner's METRICS_contention_<cell>.json.
+func execContention(r *Runner, app string, procs int, mode string) (contentionRun, error) {
 	col := &shasta.CollectorTracer{}
-	start := time.Now()
-	r, err := apps.ExecuteObserved(apps.Registry[app](o.Scale), cfg, false, col)
+	file := fmt.Sprintf("%s_p%d_%s", app, procs, mode)
+	cfg := scaleConfig(procs, 0, 0)
+	cfg.FastSync = mode == "hier"
+	run, err := r.run(cell{app, r.o.Scale, cfg, false},
+		want{name: fmt.Sprintf("contention/%s/p%d/%s", app, procs, mode), metrics: true, tracer: col})
 	if err != nil {
-		return contentionRun{}, fmt.Errorf("harness: contention: %s p%d: %w", app, procs, err)
+		return contentionRun{}, err
 	}
-	c := contentionRun{result: r, wall: time.Since(start), cycles: r.Result.ParallelCycles}
+	c := contentionRun{cycles: run.Result.ParallelCycles}
 	for _, e := range col.Events {
 		if e.Op == "send" && (e.Msg == "BarArrive" || e.Msg == "BarGo") {
 			c.barMsgs++
 		}
 	}
-	c.ss = obsv.BuildSync(col.Events)
-	if c.ss.Gapped || c.ss.DroppedTotal() != 0 {
+	ss := obsv.BuildSync(col.Events)
+	if ss.Gapped || ss.DroppedTotal() != 0 {
 		return contentionRun{}, fmt.Errorf("harness: contention: %s p%d: complete trace degraded (gapped=%v dropped=%v)",
-			app, procs, c.ss.Gapped, c.ss.Dropped)
+			app, procs, ss.Gapped, ss.Dropped)
 	}
-	c.gens = len(c.ss.Gens)
-	for i := range c.ss.Gens {
-		g := &c.ss.Gens[i]
+	c.gens = len(ss.Gens)
+	for i := range ss.Gens {
+		g := &ss.Gens[i]
 		c.departSkew += g.DepartSkew()
 		c.arriveSkew += g.ArriveSkew()
 	}
-	return c, nil
-}
-
-// writeContentionFiles emits the cell's observability artifacts: the full
-// metrics snapshot as METRICS_contention_<cell>.json plus the sync and skew
-// reports as SYNC_<cell>.txt and SKEW_<cell>.txt.
-func writeContentionFiles(name string, c contentionRun) error {
-	if err := writeMetrics("contention_"+name, c.result.Metrics); err != nil {
-		return err
+	if r.o.ObsvDir == "" {
+		return c, nil
 	}
-	if err := os.WriteFile(filepath.Join(obsvDir, "SYNC_"+name+".txt"),
-		[]byte(obsv.FormatSync(c.ss, 5)), 0o644); err != nil {
-		return err
+	if err := r.writeArtifact("SYNC_"+file+".txt", []byte(obsv.FormatSync(ss, 5))); err != nil {
+		return contentionRun{}, err
 	}
-	return os.WriteFile(filepath.Join(obsvDir, "SKEW_"+name+".txt"),
-		[]byte(obsv.FormatSkew(c.ss)), 0o644)
+	return c, r.writeArtifact("SKEW_"+file+".txt", []byte(obsv.FormatSkew(ss)))
 }
 
 // Contention is the synchronization contention observatory's experiment:
@@ -105,53 +83,35 @@ func writeContentionFiles(name string, c contentionRun) error {
 // the manager (the hierarchical one sends one per group and releases group
 // members through shared memory).
 //
-// With Options.SnapshotPath set, every cell is written as a shasta-bench/v1
-// scenario ("contention/<app>/p<procs>/<flat|hier>") for benchgate
-// comparison across commits. With observability emission enabled
-// (shastabench -obsv), each cell also writes its metrics snapshot as
-// METRICS_contention_<app>_p<procs>_<flat|hier>.json and its sync and skew
-// reports as SYNC_*.txt and SKEW_*.txt.
-func Contention(o Options, w io.Writer) error {
-	o = o.WithDefaults()
-
-	rec := newSnapshotRecorder(o)
-
+// The runs are named "contention/<app>/p<procs>/<flat|hier>": with
+// -snapshot those are the scenarios benchgate compares across commits, and
+// with -obsv each cell writes METRICS_contention_<app>_p<procs>_<flat|hier>.json
+// and its sync and skew reports as SYNC_*.txt and SKEW_*.txt.
+func Contention(r *Runner, w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "app\tprocs\tbarrier\tcycles\tΔcycles\tbar msgs\tgens\tarrive-skew\tdepart-skew")
 	for _, fx := range contentionFixtures {
-		if len(appList(o, []string{fx.app})) == 0 {
+		if !selected(r.o, fx.app) {
 			continue
 		}
 		for _, procs := range fx.procs {
-			if o.Procs != 0 && o.Procs != procs {
+			if r.o.Procs != 0 && r.o.Procs != procs {
 				continue
 			}
 			var cells [2]contentionRun
-			for i, fast := range []bool{false, true} {
-				c, err := execContention(o, fx.app, procs, fast)
+			for i, mode := range []string{"flat", "hier"} {
+				c, err := execContention(r, fx.app, procs, mode)
 				if err != nil {
 					return err
 				}
 				cells[i] = c
-				mode := "flat"
-				if fast {
-					mode = "hier"
-				}
 				delta := ""
-				if fast {
+				if mode == "hier" {
 					delta = fmt.Sprintf("%+.1f%%", 100*float64(c.cycles-cells[0].cycles)/float64(cells[0].cycles))
 				}
 				fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\n",
 					fx.app, procs, mode, c.cycles, delta, c.barMsgs, c.gens,
 					c.arriveSkew, c.departSkew)
-				name := fmt.Sprintf("%s_p%d_%s", fx.app, procs, mode)
-				rec.add(fmt.Sprintf("contention/%s/p%d/%s", fx.app, procs, mode), fx.app, "",
-					contentionConfig(procs, fast), c.wall, c.result)
-				if obsvDir != "" {
-					if err := writeContentionFiles(name, c); err != nil {
-						return err
-					}
-				}
 			}
 			flat, hier := &cells[0], &cells[1]
 			if flat.gens == 0 || flat.gens != hier.gens {
@@ -175,8 +135,5 @@ func Contention(o Options, w io.Writer) error {
 				flat.barMsgs-hier.barMsgs, flat.departSkew-hier.departSkew)
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return rec.write("contention", w)
+	return tw.Flush()
 }

@@ -16,37 +16,51 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"slices"
 	"text/tabwriter"
 
 	"repro"
 	"repro/internal/apps"
 )
 
-// Options parameterize an experiment run.
+// Options parameterize a session of experiment runs; shastabench fills them
+// from its flags.
 type Options struct {
 	// Scale multiplies problem sizes (1 = default experiment inputs).
 	Scale int
-	// Apps restricts the applications run (nil = the paper's set for
-	// that experiment).
+	// Apps restricts the applications run (nil = the experiment's own
+	// set).
 	Apps []string
 	// InjectRace restricts the races experiment to one injection mode
 	// (one of apps.RacyInjectModes; empty runs all modes).
 	InjectRace string
-	// Procs restricts the scale experiment to one processor count
-	// (0 = the full 16-256 sweep).
+	// Procs restricts the scale, tail and contention experiments to one
+	// processor count (0 = each one's own sweep).
 	Procs int
 	// Topology overrides the scale experiment's node arrangement, as
 	// "NxG" (N processors per SMP node, G nodes per uplink group) or
 	// "N" for a flat interconnect; see parseTopology.
 	Topology string
-	// SnapshotPath, when set, makes the scale experiment write its
-	// measurements as a shasta-bench/v1 snapshot (see PERFORMANCE.md).
+	// SnapshotPath, when set, makes every executed run a scenario of a
+	// shasta-bench/v1 snapshot written there (see PERFORMANCE.md).
 	SnapshotPath string
-	// BenchLabel names the snapshot ("pr21" for BENCH_pr21.json);
+	// BenchLabel names the snapshot ("pr22" for BENCH_pr22.json);
 	// defaults to "local".
 	BenchLabel string
+	// Parallel runs every cell with more than one engine worker
+	// (Config.Parallel). By contract the results — cycles, statistics,
+	// traces, metrics, checksums — are bit-identical to one-worker runs
+	// (the scale experiment verifies this); only host wall-clock changes.
+	Parallel bool
+	// Migrate enables online home migration (Config.Migrate) in every
+	// cell that supports it, so any experiment can be regenerated under
+	// migration. Hardware and ShareDirectory cells stay static.
+	Migrate bool
+	// ObsvDir, when set, receives each executed run's TRACE_<run>.jsonl
+	// protocol trace and METRICS_<run>.json metrics snapshot, and the
+	// observatory experiments' reports; see Runner.exec and
+	// OBSERVABILITY.md for the file formats.
+	ObsvDir string
 }
 
 // WithDefaults fills unset options.
@@ -64,8 +78,8 @@ type Experiment struct {
 	ID string
 	// Title describes what the paper shows there.
 	Title string
-	// Run executes the experiment, writing its report to w.
-	Run func(o Options, w io.Writer) error
+	// Run executes the experiment's cells on r, writing its report to w.
+	Run func(r *Runner, w io.Writer) error
 }
 
 // Experiments lists every experiment in paper order.
@@ -83,7 +97,6 @@ var Experiments = []Experiment{
 	{"anl", "SMP-Shasta vs hardware-coherent execution on one SMP (Section 4.3)", ANL},
 	{"ablate", "Design-choice ablations: line size, shared directory, fast sync, broadcast downgrades", Ablate},
 	{"profile", "Per-processor execution-time profile, measured breakdown at 8 processors", Profile},
-	{"pdes", "Simulation engine with 1 worker vs N workers: wall-clock comparison, bit-identity verified", Pdes},
 	{"sharing", "Sharing-pattern observatory: block classification and placement advice vs measured line-size delta", Sharing},
 	{"races", "Race-detector injection: clean and mis-synchronized runs, detector verdict vs ground truth", Races},
 	{"scale", "16-256 processor sweep: hierarchical topologies, 1 worker vs N workers wall-clock, bit-identity at scale", Scale},
@@ -102,148 +115,9 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// runKey memoizes application runs within one process, since several
-// experiments share configurations.
-type runKey struct {
-	app      string
-	scale    int
-	procs    int
-	cluster  int
-	hardware bool
-	smpChk   bool
-	varGran  bool
-	migrate  bool
-}
-
-var runCache = map[runKey]apps.RunResult{}
-
-// obsvDir, when set, makes every (uncached) application run emit a
-// TRACE_<run>.jsonl protocol trace and a METRICS_<run>.json metrics snapshot
-// into the directory. Process-global like runCache; shastabench sets it from
-// its -obsv flag before running experiments.
-var obsvDir string
-
-// SetObsvDir enables trace and metrics emission for subsequent runs into
-// dir (empty disables it). See OBSERVABILITY.md for the file formats.
-func SetObsvDir(dir string) { obsvDir = dir }
-
-// parallel, when set, runs every subsequent application with more than one
-// engine worker (Config.Parallel). By contract the results — cycles,
-// statistics, traces, metrics, checksums — are bit-identical to one-worker
-// runs (the pdes experiment verifies this); only host wall-clock time
-// changes, so runCache is deliberately shared between the modes.
-// Process-global like obsvDir; shastabench sets it from its -parallel flag.
-var parallel bool
-
-// SetParallel selects more than one engine worker for subsequent runs
-// (false restores one worker).
-func SetParallel(on bool) { parallel = on }
-
-// migrate, when set, enables online home migration (Config.Migrate) for
-// every subsequent application run, so any experiment's tables can be
-// regenerated under migration for comparison. Unlike the worker count
-// this changes simulated results, so migrated runs get their own runCache
-// keys and "_mig"-suffixed observability files. Process-global like
-// parallel; shastabench sets it from its -migrate flag.
-var migrate bool
-
-// SetMigrate enables online home migration for subsequent runs (false
-// restores static homes). Hardware-coherence runs ignore it.
-func SetMigrate(on bool) { migrate = on }
-
-// obsvName encodes a run key into the file-name fragment shared by that
-// run's trace and metrics files.
-func obsvName(key runKey) string {
-	name := fmt.Sprintf("%s_s%d_p%d_c%d", key.app, key.scale, key.procs, key.cluster)
-	if key.hardware {
-		name += "_hw"
-	}
-	if key.smpChk {
-		name += "_smpchk"
-	}
-	if key.varGran {
-		name += "_vg"
-	}
-	if key.migrate {
-		name += "_mig"
-	}
-	return name
-}
-
-// runApp executes (or recalls) one application run.
-func runApp(app string, scale int, cfg shasta.Config, varGran bool) (apps.RunResult, error) {
-	cfg.Parallel = parallel
-	if migrate && !cfg.Hardware && !cfg.ShareDirectory {
-		cfg.Migrate = true
-	}
-	key := runKey{app, scale, cfg.Procs, cfg.Clustering, cfg.Hardware, cfg.ForceSMPChecks, varGran, cfg.Migrate}
-	if r, ok := runCache[key]; ok {
-		return r, nil
-	}
-	f, ok := apps.Registry[app]
-	if !ok {
-		return apps.RunResult{}, fmt.Errorf("harness: unknown application %q", app)
-	}
-	var r apps.RunResult
-	var err error
-	if obsvDir != "" {
-		r, err = runObserved(key, f(scale), cfg, varGran)
-	} else {
-		r, err = apps.Execute(f(scale), cfg, varGran)
-	}
-	if err != nil {
-		return apps.RunResult{}, err
-	}
-	runCache[key] = r
-	return r, nil
-}
-
-// runObserved executes one run with a trace sink attached and writes the
-// trace and metrics files. Cached recalls of the same key skip this — the
-// files from the first execution already exist and are identical (the
-// simulator is deterministic).
-func runObserved(key runKey, w apps.Workload, cfg shasta.Config, varGran bool) (apps.RunResult, error) {
-	name := obsvName(key)
-	sink, err := shasta.NewTraceSink(filepath.Join(obsvDir, "TRACE_"+name+".jsonl"), shasta.SinkOptions{})
-	if err != nil {
-		return apps.RunResult{}, err
-	}
-	r, err := apps.ExecuteObserved(w, cfg, varGran, sink)
-	if cerr := sink.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("harness: trace sink: %w", cerr)
-	}
-	if err != nil {
-		return apps.RunResult{}, err
-	}
-	return r, writeMetrics(name, r.Metrics)
-}
-
-// writeMetrics emits a run's shasta-metrics snapshot into the observability
-// directory as METRICS_<name>.json (BENCH_*.json names are shasta-bench/v1
-// snapshots only).
-func writeMetrics(name string, m *shasta.Metrics) error {
-	f, err := os.Create(filepath.Join(obsvDir, "METRICS_"+name+".json"))
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ResetCache clears memoized runs (tests use it to control determinism
-// checks across processes).
-func ResetCache() { runCache = map[runKey]apps.RunResult{} }
-
-// seqCycles returns the sequential (no checks) execution time.
-func seqCycles(app string, scale int) (int64, error) {
-	r, err := runApp(app, scale, shasta.Config{Procs: 1, Hardware: true}, false)
-	if err != nil {
-		return 0, err
-	}
-	return r.Result.ParallelCycles, nil
+// seqConfig is the original sequential program: one processor, no checks.
+func seqConfig() shasta.Config {
+	return shasta.Config{Procs: 1, Hardware: true}
 }
 
 // baseConfig is a Base-Shasta configuration at the given processor count.
@@ -261,22 +135,30 @@ func smpConfig(procs int) shasta.Config {
 	return shasta.Config{Procs: procs, Clustering: cl}
 }
 
+// selected reports whether -apps admits app.
+func selected(o Options, app string) bool {
+	return len(o.Apps) == 0 || slices.Contains(o.Apps, app)
+}
+
 // appList resolves the option's application set against a default.
 func appList(o Options, def []string) []string {
-	if len(o.Apps) == 0 {
-		return def
-	}
 	var out []string
-	allowed := map[string]bool{}
-	for _, a := range o.Apps {
-		allowed[a] = true
-	}
 	for _, a := range def {
-		if allowed[a] {
+		if selected(o, a) {
 			out = append(out, a)
 		}
 	}
 	return out
+}
+
+// appsOr is appList for experiments too costly to default to every
+// application: -apps selects from the whole registry, and without it def
+// runs.
+func appsOr(o Options, def ...string) []string {
+	if len(o.Apps) == 0 {
+		return def
+	}
+	return appList(o, apps.Names)
 }
 
 // speedup computes sequential/parallel.

@@ -6,13 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro"
 )
 
 func TestExperimentRegistry(t *testing.T) {
 	wantIDs := []string{"table1", "table2", "table3", "fig3", "fig4", "fig5",
-		"fig6", "fig7", "fig8", "micro", "anl", "ablate", "profile", "pdes",
+		"fig6", "fig7", "fig8", "micro", "anl", "ablate", "profile",
 		"sharing", "races", "scale", "tail", "migrate", "contention"}
 	if len(Experiments) != len(wantIDs) {
 		t.Fatalf("have %d experiments, want %d", len(Experiments), len(wantIDs))
@@ -43,7 +41,7 @@ func TestOptionsDefaults(t *testing.T) {
 // application and checks the report structure and the Base <= SMP ordering.
 func TestTable1SingleApp(t *testing.T) {
 	var buf bytes.Buffer
-	err := Table1(Options{Scale: 1, Apps: []string{"Volrend"}}, &buf)
+	err := Table1(NewRunner(Options{Scale: 1, Apps: []string{"Volrend"}}), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +80,7 @@ func TestMicroLatencies(t *testing.T) {
 // migratory outlier shape on Water-Nsq.
 func TestFig8SingleApp(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig8(Options{Scale: 1, Apps: []string{"Water-Nsq"}}, &buf); err != nil {
+	if err := Fig8(NewRunner(Options{Scale: 1, Apps: []string{"Water-Nsq"}}), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Water-Nsq") {
@@ -94,7 +92,7 @@ func TestFig8SingleApp(t *testing.T) {
 // eight rows per app, each with the exact parallel time in the last column.
 func TestProfileSingleApp(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Profile(Options{Scale: 1, Apps: []string{"Volrend"}}, &buf); err != nil {
+	if err := Profile(NewRunner(Options{Scale: 1, Apps: []string{"Volrend"}}), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -109,7 +107,7 @@ func TestProfileSingleApp(t *testing.T) {
 // the two line-size runs with a measured delta, and the pattern census.
 func TestSharingSingleApp(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Sharing(Options{Scale: 1, Apps: []string{"Volrend"}}, &buf); err != nil {
+	if err := Sharing(NewRunner(Options{Scale: 1, Apps: []string{"Volrend"}}), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -125,10 +123,8 @@ func TestSharingSingleApp(t *testing.T) {
 // the artifacts must land in the observability directory.
 func TestRacesExperiment(t *testing.T) {
 	dir := t.TempDir()
-	SetObsvDir(dir)
-	defer SetObsvDir("")
 	var buf bytes.Buffer
-	if err := Races(Options{Scale: 1}, &buf); err != nil {
+	if err := Races(NewRunner(Options{Scale: 1, ObsvDir: dir}), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -156,14 +152,14 @@ func TestRacesExperiment(t *testing.T) {
 // unknown modes are rejected.
 func TestRacesExperimentSingleMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Races(Options{Scale: 1, InjectRace: "drop-lock"}, &buf); err != nil {
+	if err := Races(NewRunner(Options{Scale: 1, InjectRace: "drop-lock"}), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "inject=drop-lock") || strings.Contains(out, "inject=none") {
 		t.Errorf("single-mode report wrong:\n%s", out)
 	}
-	if err := Races(Options{Scale: 1, InjectRace: "frobnicate"}, &buf); err == nil {
+	if err := Races(NewRunner(Options{Scale: 1, InjectRace: "frobnicate"}), &buf); err == nil {
 		t.Error("unknown injection mode accepted")
 	}
 }
@@ -176,24 +172,6 @@ func TestAppFilter(t *testing.T) {
 	all := appList(Options{}, []string{"a", "b"})
 	if len(all) != 2 {
 		t.Fatalf("empty filter should keep defaults, got %v", all)
-	}
-}
-
-func TestRunCaching(t *testing.T) {
-	ResetCache()
-	r1, err := runApp("Volrend", 1, shasta.Config{Procs: 4, Clustering: 4}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := runApp("Volrend", 1, shasta.Config{Procs: 4, Clustering: 4}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Result.Stats != r2.Result.Stats {
-		t.Fatal("second identical run was not served from the cache")
-	}
-	if _, err := runApp("NotAnApp", 1, shasta.Config{Procs: 4}, false); err == nil {
-		t.Fatal("unknown application accepted")
 	}
 }
 

@@ -53,7 +53,7 @@ func MicroDowngradeLatency() ([4]float64, error) {
 // Micro renders the downgrade-latency microbenchmark, plus the base fetch
 // latencies the paper quotes (about 20 us for a remote two-hop fetch and
 // 11 us within a node under Base-Shasta).
-func Micro(o Options, w io.Writer) error {
+func Micro(_ *Runner, w io.Writer) error {
 	lat, err := MicroDowngradeLatency()
 	if err != nil {
 		return err
@@ -112,31 +112,23 @@ func FetchLatencies() (remote, local float64, err error) {
 // memory; protocol entered only for synchronization and private state
 // upgrades). The paper measures SMP-Shasta an average of 12.7% slower,
 // mostly due to the inline checking overhead.
-func ANL(o Options, w io.Writer) error {
-	o = o.WithDefaults()
-	names := appList(o, apps.Names)
+func ANL(r *Runner, w io.Writer) error {
+	names := appList(r.o, apps.Names)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "app\tHW 4p speedup\tSMP-Shasta 4p speedup\tSMP slower by")
 	var sum float64
 	for _, name := range names {
-		seq, err := seqCycles(name, o.Scale)
+		cy, err := r.cycles(
+			cell{name, r.o.Scale, seqConfig(), false},
+			cell{name, r.o.Scale, shasta.Config{Procs: 4, Clustering: 4, Hardware: true}, false},
+			cell{name, r.o.Scale, shasta.Config{Procs: 4, Clustering: 4}, false})
 		if err != nil {
 			return err
 		}
-		hw, err := runApp(name, o.Scale, shasta.Config{Procs: 4, Clustering: 4, Hardware: true}, false)
-		if err != nil {
-			return err
-		}
-		smp, err := runApp(name, o.Scale, shasta.Config{Procs: 4, Clustering: 4}, false)
-		if err != nil {
-			return err
-		}
-		slower := float64(smp.Result.ParallelCycles)/float64(hw.Result.ParallelCycles) - 1
+		seq, hw, smp := cy[0], cy[1], cy[2]
+		slower := float64(smp)/float64(hw) - 1
 		sum += slower
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%s\n", name,
-			speedup(seq, hw.Result.ParallelCycles),
-			speedup(seq, smp.Result.ParallelCycles),
-			pct(slower))
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%s\n", name, speedup(seq, hw), speedup(seq, smp), pct(slower))
 	}
 	fmt.Fprintf(tw, "average\t\t\t%s (paper: 12.7%%)\n", pct(sum/float64(len(names))))
 	return tw.Flush()

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro"
 	"repro/internal/apps"
@@ -126,31 +125,24 @@ func (w *hot3hop) Body(p *shasta.Proc) {
 
 func (w *hot3hop) Checksum() float64 { return w.checksum }
 
-// migFixtures are the migrate experiment's workloads: the synthetic
-// three-hop-heavy fixture, and iterated LU at 256-byte lines (four
-// measured re-initialize-and-factor sweeps, the repeated-factorization
-// harness solver benchmarks run). LU's matrix pages are homed round-robin,
-// so a line's home is unrelated to the block owner that re-writes it every
-// sweep and the perimeter consumers that re-read it; migration re-homes
-// lines to their owners' nodes during the first sweeps, and the later
-// sweeps run with a fraction of the 3-hop misses. LU's burst per line is
-// short (one owner plus a handful of perimeter readers per sweep), so the
-// fixture sets MigrateInterval to 4 — the evidence window that fits the
-// pattern; hot3hop uses the protocol defaults.
+// migFixtures are the migrate experiment's workloads (registered in
+// fixtures) and the machines they run on: the synthetic three-hop-heavy
+// fixture, and iterated LU at 256-byte lines (four measured
+// re-initialize-and-factor sweeps, the repeated-factorization harness
+// solver benchmarks run). LU's matrix pages are homed round-robin, so a
+// line's home is unrelated to the block owner that re-writes it every sweep
+// and the perimeter consumers that re-read it; migration re-homes lines to
+// their owners' nodes during the first sweeps, and the later sweeps run
+// with a fraction of the 3-hop misses. LU's burst per line is short (one
+// owner plus a handful of perimeter readers per sweep), so the fixture sets
+// MigrateInterval to 4 — the evidence window that fits the pattern; hot3hop
+// uses the protocol defaults.
 var migFixtures = []struct {
-	name    string
-	procs   int
-	factory func(scale int) apps.Workload
-	cfg     func(procs int) shasta.Config
+	name string
+	cfg  shasta.Config
 }{
-	{"hot3hop", 16,
-		func(s int) apps.Workload { return newHot3hop(s) },
-		func(procs int) shasta.Config { return shasta.Config{Procs: procs, Clustering: 4} }},
-	{"LU256", 16,
-		func(s int) apps.Workload { return apps.NewLUIterated(s, 4, false) },
-		func(procs int) shasta.Config {
-			return shasta.Config{Procs: procs, Clustering: 4, LineSize: 256, MigrateInterval: 4}
-		}},
+	{"hot3hop", shasta.Config{Procs: 16, Clustering: 4}},
+	{"LU256", shasta.Config{Procs: 16, Clustering: 4, LineSize: 256, MigrateInterval: 4}},
 }
 
 // Migrate contrasts static home placement with online home migration on
@@ -162,50 +154,33 @@ var migFixtures = []struct {
 // reduce either fixture's measured cycles — the optimization must pay on
 // its target patterns, not merely stay neutral.
 //
-// With Options.SnapshotPath set, both runs of every fixture are written as
-// shasta-bench/v1 scenarios ("migrate/<fixture>/off|on") for benchgate
-// comparison across commits. With observability emission enabled
-// (shastabench -obsv), each run also writes its full metrics snapshot as
-// METRICS_migrate_<fixture>_{off,on}.json.
-func Migrate(o Options, w io.Writer) error {
-	o = o.WithDefaults()
-
-	rec := newSnapshotRecorder(o)
-
+// The runs are named "migrate/<fixture>/<off|on>": with -snapshot those are
+// the scenarios benchgate compares across commits, and with -obsv each
+// run's metrics snapshot is METRICS_migrate_<fixture>_<off|on>.json.
+func Migrate(r *Runner, w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "fixture\tmigrate\tcycles\tΔcycles\tmigrations\tforwards\t3-hop misses\tremote msgs")
 	for _, fx := range migFixtures {
 		var cycles [2]int64
-		for i, on := range []bool{false, true} {
-			cfg := fx.cfg(fx.procs)
-			cfg.Migrate = on
-			cfg.Parallel = parallel
-			start := time.Now()
-			r, err := apps.ExecuteObserved(fx.factory(o.Scale), cfg, false, nil)
+		for i, mode := range []string{"off", "on"} {
+			// Migration is this experiment's subject, so it is set on the
+			// applied cell, whatever -migrate says.
+			c := r.apply(cell{fx.name, r.o.Scale, fx.cfg, false})
+			c.cfg.Migrate = mode == "on"
+			run, err := r.exec(c, want{name: "migrate/" + fx.name + "/" + mode, metrics: true})
 			if err != nil {
-				return fmt.Errorf("harness: migrate: %s: %w", fx.name, err)
+				return err
 			}
-			wall := time.Since(start)
-			t := r.Metrics.Totals
+			t := run.Metrics.Totals
 			threeHop := t.Misses["read-3hop"] + t.Misses["write-3hop"] + t.Misses["upgrade-3hop"]
-			cycles[i] = r.Result.ParallelCycles
+			cycles[i] = run.Result.ParallelCycles
 			delta := ""
-			if on {
+			if mode == "on" {
 				delta = fmt.Sprintf("%+.1f%%", 100*float64(cycles[1]-cycles[0])/float64(cycles[0]))
-			}
-			mode := "off"
-			if on {
-				mode = "on"
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%d\t%d\t%d\n",
 				fx.name, mode, cycles[i], delta, t.Migrations, t.MigForwards,
 				threeHop, t.Messages["remote"])
-			rec.add(fmt.Sprintf("migrate/%s/%s", fx.name, mode), fx.name, "", cfg, wall, r)
-			if obsvDir != "" {
-				if err := writeMetrics(fmt.Sprintf("migrate_%s_%s", fx.name, mode), r.Metrics); err != nil {
-					return err
-				}
-			}
 		}
 		if cycles[1] >= cycles[0] {
 			return fmt.Errorf("harness: migrate: %s: migration did not reduce cycles (%d off, %d on)",
@@ -214,8 +189,5 @@ func Migrate(o Options, w io.Writer) error {
 		fmt.Fprintf(tw, "%s\tsaved\t%d\t%.1f%%\t\t\t\t\n", fx.name, cycles[0]-cycles[1],
 			100*float64(cycles[0]-cycles[1])/float64(cycles[0]))
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return rec.write("migrate", w)
+	return tw.Flush()
 }

@@ -14,21 +14,16 @@ import (
 // sum exactly to the measured parallel time; the dgrade* column is an
 // overlapping memo isolating the SMP-Shasta downgrade machinery (cycles
 // already counted under message or the stalled category).
-func Profile(o Options, w io.Writer) error {
-	o = o.WithDefaults()
-	names := appList(o, apps.Names)
+func Profile(r *Runner, w io.Writer) error {
+	names := appList(r.o, apps.Names)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "app/proc\ttask%\tread%\twrite%\tsync%\tmsg%\tother%\tidle%\tdgrade*%\tcycles")
 	for _, name := range names {
-		f, ok := apps.Registry[name]
-		if !ok {
-			return fmt.Errorf("harness: unknown application %q", name)
-		}
-		r, err := apps.ExecuteObserved(f(o.Scale), smpConfig(8), false, nil)
+		run, err := r.run(cell{name, r.o.Scale, smpConfig(8), false}, want{metrics: true})
 		if err != nil {
 			return err
 		}
-		m := r.Metrics
+		m := run.Metrics
 		fmt.Fprintf(tw, "%s @8p C4\n", name)
 		for _, e := range m.Breakdown {
 			pc := func(v int64) string {

@@ -3,13 +3,12 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
+	"slices"
 
 	"repro"
 	"repro/internal/apps"
 	"repro/internal/obsv"
-	"repro/internal/protocol"
 )
 
 // Races is the race-detection injection experiment: it runs the synthetic
@@ -28,29 +27,19 @@ import (
 // Options.InjectRace restricts the run to one mode (shastabench
 // -inject-race). With -obsv, each mode emits TRACE_races_<mode>.jsonl and
 // its detector report as RACES_<mode>.txt.
-func Races(o Options, w io.Writer) error {
-	o = o.WithDefaults()
+func Races(r *Runner, w io.Writer) error {
 	modes := apps.RacyInjectModes
-	if o.InjectRace != "" {
-		found := false
-		for _, m := range modes {
-			if m == o.InjectRace {
-				found = true
-			}
+	if mode := r.o.InjectRace; mode != "" {
+		if !slices.Contains(modes, mode) {
+			return fmt.Errorf("harness: unknown -inject-race mode %q (want one of %v)", mode, modes)
 		}
-		if !found {
-			return fmt.Errorf("harness: unknown -inject-race mode %q (want one of %v)",
-				o.InjectRace, apps.RacyInjectModes)
-		}
-		modes = []string{o.InjectRace}
+		modes = []string{mode}
 	}
 	for _, mode := range modes {
-		cfg := baseConfig(8)
-		cfg.Parallel = parallel
 		col := &shasta.CollectorTracer{}
-		r, err := apps.ExecuteObserved(apps.NewRacy(o.Scale, mode), cfg, false, col)
+		run, err := r.run(cell{"Racy-" + mode, r.o.Scale, baseConfig(8), false}, want{tracer: col})
 		if err != nil {
-			return fmt.Errorf("harness: races inject=%s: %w", mode, err)
+			return err
 		}
 		rep, err := obsv.DetectRaces(col.Events)
 		if err != nil {
@@ -65,37 +54,26 @@ func Races(o Options, w io.Writer) error {
 				mode, rep.Format())
 		}
 		fmt.Fprintf(w, "inject=%-15s %d events, %d cycles -> %s",
-			mode, len(col.Events), r.Result.ParallelCycles, rep.Format())
-		if obsvDir != "" {
-			if err := writeRacesArtifacts(mode, col.Events, rep); err != nil {
-				return err
-			}
+			mode, len(col.Events), run.Result.ParallelCycles, rep.Format())
+		if r.o.ObsvDir == "" {
+			continue
+		}
+		// The detector needs the trace in memory, so its file is a replay
+		// through the sink — the one JSONL encoder — not a stream.
+		sink, err := shasta.NewTraceSink(filepath.Join(r.o.ObsvDir, "TRACE_races_"+mode+".jsonl"), shasta.SinkOptions{})
+		if err != nil {
+			return err
+		}
+		for _, e := range col.Events {
+			sink.Event(e)
+		}
+		if err := sink.Close(); err != nil {
+			return err
+		}
+		if err := r.writeArtifact("RACES_"+mode+".txt", []byte(rep.Format())); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintf(w, "detector verdicts match ground truth for all %d modes\n", len(modes))
 	return nil
-}
-
-// writeRacesArtifacts emits one mode's trace and detector report into the
-// observability directory, for the CI artifact.
-func writeRacesArtifacts(mode string, events []protocol.TraceEvent, rep *obsv.RaceReport) error {
-	tf, err := os.Create(filepath.Join(obsvDir, "TRACE_races_"+mode+".jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := obsv.WriteHeader(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	for _, e := range events {
-		if err := obsv.WriteEvent(tf, e); err != nil {
-			tf.Close()
-			return err
-		}
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(obsvDir, "RACES_"+mode+".txt"),
-		[]byte(rep.Format()), 0o644)
 }

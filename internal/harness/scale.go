@@ -6,10 +6,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro"
-	"repro/internal/apps"
 )
 
 // scaleSweep is the default processor sweep of the scale experiment. The
@@ -17,19 +15,6 @@ import (
 // to 256 to exercise the hierarchical interconnect and the host-side
 // scaling of the simulator itself.
 var scaleSweep = []int{16, 64, 128, 256}
-
-// scaleSchedulers returns the engine configurations the experiment times,
-// in report order: "serial" is one worker (the name predates the single
-// engine and is kept so snapshots stay comparable cell for cell), "workers"
-// is Config.Parallel, timed only when the process has a second core to put
-// a worker on — without one it is the same run. Both must produce
-// bit-identical virtual results.
-func scaleSchedulers() []string {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return []string{"serial", "workers"}
-	}
-	return []string{"serial"}
-}
 
 // scaleConfig builds the cluster configuration for one processor count.
 // ppn/npg override processors-per-node and nodes-per-group when non-zero
@@ -105,88 +90,61 @@ func topologyName(cfg shasta.Config) string {
 // with one engine worker and, on a multi-core host, with one worker per
 // active SMP node. At 64 processors and above the interconnect is
 // hierarchical (4-processor nodes, 4 nodes per uplink group) unless
-// -topology overrides it. Every run bypasses the harness cache — wall-clock
-// time is the measurement — and the experiment fails if any run's cycles,
-// finish time or checksum deviate (the bit-identity contract at scale).
+// -topology overrides it. The cells are timed — wall-clock time is the
+// measurement, see want.timed — and the experiment fails if the two worker
+// counts disagree on cycles, finish time or checksum (the bit-identity
+// contract at scale). -apps selects applications from the whole registry;
+// LU runs without it.
 //
-// With Options.SnapshotPath set, the measurements are also written as a
-// shasta-bench/v1 snapshot for benchgate comparison; see PERFORMANCE.md.
-func Scale(o Options, w io.Writer) error {
-	o = o.WithDefaults()
-	names := appList(o, []string{"LU"})
+// With -snapshot the measurements are the scenarios benchgate compares
+// across commits ("scale/<app>/p<procs>/<serial|workers>"; "serial" is one
+// worker, a name that predates the single engine and is kept so snapshots
+// stay comparable cell for cell); see PERFORMANCE.md.
+func Scale(r *Runner, w io.Writer) error {
 	counts := scaleSweep
-	if o.Procs > 0 {
-		counts = []int{o.Procs}
+	if r.o.Procs > 0 {
+		counts = []int{r.o.Procs}
 	}
-	ppn, npg, err := parseTopology(o.Topology)
+	ppn, npg, err := parseTopology(r.o.Topology)
 	if err != nil {
 		return err
 	}
-
-	rec := newSnapshotRecorder(o)
-	if rec != nil {
-		fmt.Fprintf(w, "calibration: %.1fms\n", float64(rec.snap.CalibrationNs)/1e6)
+	if r.snap != nil {
+		fmt.Fprintf(w, "calibration: %.1fms\n", float64(r.snap.CalibrationNs)/1e6)
 	}
 	fmt.Fprintf(w, "host cores (GOMAXPROCS): %d\n", runtime.GOMAXPROCS(0))
 
-	scheds := scaleSchedulers()
 	tw := newTab(w)
 	fmt.Fprintln(tw, "app\tprocs\ttopology\tcycles\t1 worker\tN workers\tspeedup\tbit-identical")
-	for _, name := range names {
-		f, ok := apps.Registry[name]
-		if !ok {
-			return fmt.Errorf("harness: unknown application %q", name)
-		}
+	for _, name := range appsOr(r.o, "LU") {
 		for _, procs := range counts {
-			cfg := scaleConfig(procs, ppn, npg)
-			walls := map[string]time.Duration{}
-			var ref apps.RunResult
-			for i, sched := range scheds {
-				runCfg := cfg
-				runCfg.Parallel = sched == "workers"
-				// Best of two executions: the minimum wall time is the
-				// least noise-inflated estimate, and host noise is what
-				// the 10% regression gate must see through. Identity is
-				// checked on every execution, not just the fast one.
-				var r apps.RunResult
-				for rep := 0; rep < 2; rep++ {
-					start := time.Now()
-					rr, err := apps.Execute(f(o.Scale), runCfg, false)
-					if err != nil {
-						return fmt.Errorf("harness: scale: %s p%d %s: %w", name, procs, sched, err)
-					}
-					wall := time.Since(start)
-					if rep == 0 || wall < walls[sched] {
-						walls[sched] = wall
-					}
-					r = rr
-					if i == 0 && rep == 0 {
-						ref = rr
-					} else if rr.Result.FinishCycles != ref.Result.FinishCycles ||
-						rr.Result.ParallelCycles != ref.Result.ParallelCycles ||
-						rr.Checksum != ref.Checksum {
-						return fmt.Errorf("harness: scale: %s p%d: %s run diverged from the first %s run: "+
-							"finish %d vs %d, cycles %d vs %d, checksum %v vs %v",
-							name, procs, sched, scheds[0],
-							rr.Result.FinishCycles, ref.Result.FinishCycles,
-							rr.Result.ParallelCycles, ref.Result.ParallelCycles,
-							rr.Checksum, ref.Checksum)
-					}
-				}
-				rec.add(fmt.Sprintf("scale/%s/p%d/%s", name, procs, sched), name, sched, runCfg, walls[sched], r)
+			// The worker count is this experiment's subject, so it is set
+			// on the applied cell, whatever -parallel says.
+			c := r.apply(cell{name, r.o.Scale, scaleConfig(procs, ppn, npg), false})
+			c.cfg.Parallel = false
+			serial, err := r.exec(c, want{name: fmt.Sprintf("scale/%s/p%d/serial", name, procs), timed: true})
+			if err != nil {
+				return err
 			}
 			workers, speedup := "-", "-"
-			if wall, ok := walls["workers"]; ok {
-				workers = fmt.Sprintf("%.2fs", wall.Seconds())
-				speedup = fmt.Sprintf("%.2fx", walls["serial"].Seconds()/wall.Seconds())
+			// Workers are timed only when the process has a second core
+			// to put one on — without one it is the same run.
+			if runtime.GOMAXPROCS(0) > 1 {
+				c.cfg.Parallel = true
+				par, err := r.exec(c, want{name: fmt.Sprintf("scale/%s/p%d/workers", name, procs), timed: true})
+				if err != nil {
+					return err
+				}
+				if d := diverged(serial.RunResult, par.RunResult); d != "" {
+					return fmt.Errorf("harness: scale: %s p%d: 1 and N workers diverged: %s", name, procs, d)
+				}
+				workers = fmt.Sprintf("%.2fs", par.wall.Seconds())
+				speedup = fmt.Sprintf("%.2fx", serial.wall.Seconds()/par.wall.Seconds())
 			}
 			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.2fs\t%s\t%s\tyes\n",
-				name, procs, topologyName(cfg), ref.Result.ParallelCycles,
-				walls["serial"].Seconds(), workers, speedup)
+				name, procs, topologyName(c.cfg), serial.Result.ParallelCycles,
+				serial.wall.Seconds(), workers, speedup)
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return rec.write("scale", w)
+	return tw.Flush()
 }

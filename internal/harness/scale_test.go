@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,20 +64,24 @@ func TestTopologyName(t *testing.T) {
 }
 
 // TestScaleExperimentSmoke runs the scale experiment at one small
-// processor count and checks the report, the bit-identity enforcement
-// path, and the snapshot file it writes.
+// processor count, on an application -apps picks from the whole registry,
+// and checks the report, the bit-identity enforcement path, and the
+// snapshot file it writes.
 func TestScaleExperimentSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times full LU runs")
+		t.Skip("times full runs")
 	}
 	snap := filepath.Join(t.TempDir(), "BENCH_test.json")
 	var buf bytes.Buffer
-	err := Scale(Options{Procs: 8, SnapshotPath: snap, BenchLabel: "test"}, &buf)
-	if err != nil {
+	r := NewRunner(Options{Apps: []string{"Volrend"}, Procs: 8, SnapshotPath: snap, BenchLabel: "test"})
+	if err := Scale(r, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Finish(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"LU", "8", "1 worker", "N workers", "yes", "snapshot written"} {
+	for _, want := range []string{"Volrend", "8", "1 worker", "N workers", "yes", "snapshot written"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -86,12 +91,15 @@ func TestScaleExperimentSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds := scaleSchedulers()
+	scheds := []string{"serial"}
+	if runtime.GOMAXPROCS(0) > 1 {
+		scheds = append(scheds, "workers")
+	}
 	if s.Label != "test" || len(s.Scenarios) != len(scheds) {
 		t.Fatalf("snapshot label %q with %d scenarios, want test/%d", s.Label, len(s.Scenarios), len(scheds))
 	}
 	for i, sc := range s.Scenarios {
-		if sc.WallNs <= 0 || sc.Cycles <= 0 || sc.Procs != 8 || sc.Name != "scale/LU/p8/"+scheds[i] {
+		if sc.WallNs <= 0 || sc.Cycles <= 0 || sc.Procs != 8 || sc.Name != "scale/Volrend/p8/"+scheds[i] {
 			t.Errorf("implausible scenario %+v", sc)
 		}
 		if sc.Cycles != s.Scenarios[0].Cycles {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro"
-	"repro/internal/apps"
 	"repro/internal/obsv"
 	"repro/internal/stats"
 )
@@ -25,33 +24,20 @@ var sharingLineSizes = [2]int{64, 256}
 //
 // When observability emission is enabled (shastabench -obsv), each run's
 // metrics snapshot is written as METRICS_sharing_<app>_l<linesize>.json.
-func Sharing(o Options, w io.Writer) error {
-	o = o.WithDefaults()
-	names := appList(o, apps.Names)
-	if len(o.Apps) == 0 {
-		names = []string{"LU"}
-	}
-	for _, name := range names {
-		f, ok := apps.Registry[name]
-		if !ok {
-			return fmt.Errorf("harness: unknown application %q", name)
-		}
+func Sharing(r *Runner, w io.Writer) error {
+	for _, name := range appsOr(r.o, "LU") {
 		var cycles [2]int64
 		var coarse *shasta.Metrics
 		for i, ls := range sharingLineSizes {
 			cfg := smpConfig(8)
 			cfg.LineSize = ls
-			r, err := apps.ExecuteObserved(f(o.Scale), cfg, false, nil)
+			run, err := r.run(cell{name, r.o.Scale, cfg, false},
+				want{name: fmt.Sprintf("sharing/%s/l%d", name, ls), metrics: true})
 			if err != nil {
 				return err
 			}
-			cycles[i] = r.Metrics.Cycles
-			coarse = r.Metrics
-			if obsvDir != "" {
-				if err := writeMetrics(fmt.Sprintf("sharing_%s_l%d", name, ls), r.Metrics); err != nil {
-					return err
-				}
-			}
+			cycles[i] = run.Metrics.Cycles
+			coarse = run.Metrics
 		}
 		delta := 0.0
 		if cycles[0] > 0 {

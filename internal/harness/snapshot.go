@@ -3,15 +3,11 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
-
-	"repro"
-	"repro/internal/apps"
 )
 
 // BenchSchema identifies the benchmark snapshot format. Bump the suffix on
@@ -27,7 +23,7 @@ const BenchSchema = "shasta-bench/v1"
 type BenchSnapshot struct {
 	Schema string `json:"schema"`
 	// Label names the snapshot, conventionally the PR it belongs to
-	// ("pr21" for BENCH_pr21.json).
+	// ("pr22" for BENCH_pr22.json).
 	Label   string `json:"label"`
 	Created string `json:"created"` // RFC 3339
 	// Host metadata, recorded for the reader; not used in comparisons.
@@ -79,69 +75,32 @@ func newBenchSnapshot(label string) *BenchSnapshot {
 	}
 }
 
-// snapshotRecorder collects an experiment's scenarios into the snapshot
-// Options.SnapshotPath asks for. A nil recorder (no snapshot requested)
-// records nothing.
-type snapshotRecorder struct {
-	snap *BenchSnapshot
-	path string
-}
-
-// newSnapshotRecorder returns the recorder for o, nil when o requests no
-// snapshot.
-func newSnapshotRecorder(o Options) *snapshotRecorder {
-	if o.SnapshotPath == "" {
-		return nil
-	}
-	label := o.BenchLabel
-	if label == "" {
-		label = "local"
-	}
-	return &snapshotRecorder{snap: newBenchSnapshot(label), path: o.SnapshotPath}
-}
-
-// add records one timed run of app under cfg as the scenario called name. An
-// empty sched means the harness-wide worker choice (shastabench
-// -parallel).
-func (r *snapshotRecorder) add(name, app, sched string, cfg shasta.Config, wall time.Duration, res apps.RunResult) {
-	if r == nil {
+// record appends one executed run of c as the scenario called name to the
+// session's snapshot, if there is one.
+func (r *Runner) record(name string, c cell, res result) {
+	if r.snap == nil {
 		return
 	}
-	if sched == "" {
-		sched = "serial"
-		if parallel {
-			sched = "workers"
-		}
+	sched := "serial"
+	if c.cfg.Parallel {
+		sched = "workers"
 	}
-	ppn := cfg.ProcsPerNode
+	ppn := c.cfg.ProcsPerNode
 	if ppn == 0 {
 		ppn = 4
 	}
 	r.snap.Scenarios = append(r.snap.Scenarios, BenchScenario{
 		Name:          name,
-		App:           app,
-		Procs:         cfg.Procs,
+		App:           c.app,
+		Procs:         c.cfg.Procs,
 		ProcsPerNode:  ppn,
-		NodesPerGroup: cfg.NodesPerGroup,
-		Clustering:    cfg.Clustering,
+		NodesPerGroup: c.cfg.NodesPerGroup,
+		Clustering:    c.cfg.Clustering,
 		Scheduler:     sched,
-		WallNs:        wall.Nanoseconds(),
+		WallNs:        res.wall.Nanoseconds(),
 		Cycles:        res.Result.ParallelCycles,
 		Checksum:      res.Checksum,
 	})
-}
-
-// write stores the snapshot and reports it on w.
-func (r *snapshotRecorder) write(experiment string, w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	if err := r.snap.WriteFile(r.path); err != nil {
-		return fmt.Errorf("harness: %s: snapshot: %w", experiment, err)
-	}
-	fmt.Fprintf(w, "snapshot written: %s (label %s, %d scenarios)\n",
-		r.path, r.snap.Label, len(r.snap.Scenarios))
-	return nil
 }
 
 // WriteFile writes the snapshot as indented JSON.

@@ -3,13 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"repro"
-	"repro/internal/apps"
 	"repro/internal/obsv"
 )
 
@@ -42,21 +39,12 @@ var tailTopologies = []struct {
 // With observability emission enabled (shastabench -obsv), each topology's
 // run writes METRICS_tail_<app>_<topo>.json (metrics snapshot) and
 // SPANS_tail_<app>_<topo>.txt (full span report).
-func Tail(o Options, w io.Writer) error {
-	o = o.WithDefaults()
-	names := appList(o, apps.Names)
-	if len(o.Apps) == 0 {
-		names = []string{"Water-Nsq"}
-	}
+func Tail(r *Runner, w io.Writer) error {
 	procs := 64
-	if o.Procs > 0 {
-		procs = o.Procs
+	if r.o.Procs > 0 {
+		procs = r.o.Procs
 	}
-	for _, name := range names {
-		f, ok := apps.Registry[name]
-		if !ok {
-			return fmt.Errorf("harness: unknown application %q", name)
-		}
+	for _, name := range appsOr(r.o, "Water-Nsq") {
 		type topoResult struct {
 			cycles int64
 			ss     *obsv.SpanSet
@@ -71,17 +59,17 @@ func Tail(o Options, w io.Writer) error {
 				return err
 			}
 			cfg := scaleConfig(procs, ppn, npg)
-			cfg.Parallel = parallel
 			col := &shasta.CollectorTracer{}
-			r, err := apps.ExecuteObserved(f(o.Scale), cfg, false, col)
+			run, err := r.run(cell{name, r.o.Scale, cfg, false},
+				want{name: "tail/" + name + "/" + topo.name, metrics: true, tracer: col})
 			if err != nil {
 				return err
 			}
 			ss := obsv.BuildSpans(col.Events)
-			results[i] = topoResult{cycles: r.Metrics.Cycles, ss: ss}
+			results[i] = topoResult{cycles: run.Metrics.Cycles, ss: ss}
 			totals := spanTotals(ss, routeAll)
 			fmt.Fprintf(tab, "%s (%s)\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				topo.name, topologyName(cfg), r.Metrics.Cycles, len(ss.Spans),
+				topo.name, topologyName(cfg), run.Metrics.Cycles, len(ss.Spans),
 				ss.DroppedTotal(), obsv.Percentile(totals, 0.50), obsv.Percentile(totals, 0.90),
 				obsv.Percentile(totals, 0.99), obsv.Percentile(totals, 0.999), obsv.Percentile(totals, 1.0))
 			// Route split: the span layer attributes the hierarchy's cost
@@ -99,8 +87,9 @@ func Tail(o Options, w io.Writer) error {
 						obsv.Percentile(row.totals, 1.0))
 				}
 			}
-			if obsvDir != "" {
-				if err := writeTailFiles(name, topo.name, r.Metrics, ss); err != nil {
+			if r.o.ObsvDir != "" {
+				if err := r.writeArtifact(fmt.Sprintf("SPANS_tail_%s_%s.txt", name, topo.name),
+					[]byte(obsv.FormatSpans(ss, 3))); err != nil {
 					return err
 				}
 			}
@@ -219,14 +208,4 @@ func tailComposition(ss *obsv.SpanSet) string {
 		out += fmt.Sprintf("  %-14s %5.1f%%\n", s, 100*float64(stages[s])/float64(grand))
 	}
 	return out
-}
-
-// writeTailFiles emits one topology run's metrics snapshot and span report
-// into the observability directory, for the CI artifact.
-func writeTailFiles(app, topo string, m *shasta.Metrics, ss *obsv.SpanSet) error {
-	if err := writeMetrics(fmt.Sprintf("tail_%s_%s", app, topo), m); err != nil {
-		return err
-	}
-	sp := filepath.Join(obsvDir, fmt.Sprintf("SPANS_tail_%s_%s.txt", app, topo))
-	return os.WriteFile(sp, []byte(obsv.FormatSpans(ss, 3)), 0o644)
 }
