@@ -14,7 +14,8 @@
 # emission, untraced handler, wake-up, stats shards, the depth buffers' bound
 # and a cluster's independence of its heap capacity) without the race
 # detector, whose runtime allocates on its own and so cannot hold a malloc
-# budget.
+# budget; the same line runs the root package's table of invalid configs,
+# each of which must be a shasta: error, never a panic.
 .PHONY: check test paper-check bench bench-compare gobench
 
 check:
@@ -30,7 +31,7 @@ check:
 	go test -race ./internal/protocol/
 	go test -race -cpu 1,4 ./internal/sim/
 	go test ./internal/stats/ ./internal/obsv/ ./cmd/shastatrace/
-	go test -run 'DoesNotAllocate|NoAllocs|FormatsNothing|Amortizes|StayBounded|IndependentOfCapacity' . ./internal/sim/ ./internal/protocol/ ./internal/stats/
+	go test -run 'DoesNotAllocate|NoAllocs|FormatsNothing|Amortizes|StayBounded|IndependentOfCapacity|NewClusterValidation' . ./internal/sim/ ./internal/protocol/ ./internal/stats/
 
 test:
 	go build ./... && go test ./...

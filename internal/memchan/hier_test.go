@@ -1,8 +1,7 @@
 package memchan
 
 // Tests for the hierarchical interconnect: node-group mapping, uplink
-// latency and bandwidth, per-destination link sharding, and flat-topology
-// equivalence.
+// latency and bandwidth, and flat-topology equivalence.
 
 import (
 	"testing"
@@ -96,51 +95,6 @@ func TestUplinkBandwidthShare(t *testing.T) {
 	}
 	if inter != wantInter {
 		t.Fatalf("cross-group arrival %d, want %d", inter, wantInter)
-	}
-}
-
-// TestLinkShardsReduceContention sends from one node to two different
-// remote nodes at once. With one lane the sends serialize on the node
-// link; with two lanes the destinations hash to different lanes and both
-// stream concurrently.
-func TestLinkShardsReduceContention(t *testing.T) {
-	topo := Topology{NumProcs: 16, ProcsPerNode: 4}
-	gap := func(shards int) int64 {
-		par := DefaultParams()
-		par.LinkShards = shards
-		nw := New(topo, par)
-		e := sim.NewEngine(16)
-		var first, second int64
-		e.Run(func(p *sim.Proc) {
-			switch p.ID {
-			case 0:
-				nw.Send(p, 4, 2048, 1) // node 1: lane 1%shards
-				nw.Send(p, 8, 2048, 2) // node 2: lane 2%shards
-			case 4, 8:
-				p.WaitRecv(stats.Read, "t")
-				at := p.Now()
-				if first == 0 {
-					first = at
-				} else {
-					second = at
-				}
-			}
-		})
-		d := second - first
-		if d < 0 {
-			d = -d
-		}
-		return d
-	}
-	serializedGap := gap(1)
-	shardedGap := gap(2)
-	par := DefaultParams()
-	transfer := int64(2048+par.HeaderBytes) * 1000 / par.RemoteBytesPerKCycle
-	if serializedGap < transfer-10 {
-		t.Fatalf("single lane did not serialize: gap %d, transfer %d", serializedGap, transfer)
-	}
-	if shardedGap != 0 {
-		t.Fatalf("two lanes should stream concurrently: gap %d, want 0", shardedGap)
 	}
 }
 

@@ -13,20 +13,18 @@
 //   - much cheaper intra-node messages through per-pair shared-memory
 //     queues that need no locking.
 //
-// Combined with the protocol handler occupancies in package protocol, the
-// model yields the paper's ~20 us two-hop remote fetch and ~11 us
-// intra-node fetch of a 64-byte block.
+// Combined with the handler occupancies of protocol.Calibration, the model
+// yields the paper's ~20 us two-hop remote fetch and ~11 us intra-node
+// fetch of a 64-byte block.
 //
 // Beyond the paper's flat four-node network, the model scales to
 // hierarchical topologies: nodes are clustered into node groups connected
 // by shared uplinks (Topology.NodesPerGroup), messages crossing a group
 // boundary pay extra first-byte latency (Params.UplinkWire) and are limited
 // to a per-node share of the uplink bandwidth
-// (Params.UplinkBytesPerKCycle), and each node's link may be split into
-// parallel lanes (Params.LinkShards) selected by destination node. All link
-// state stays owned by the sending node's processors, so the hierarchy adds
-// no cross-domain coupling and the engine's determinism across worker
-// counts is preserved.
+// (Params.UplinkBytesPerKCycle). All link state stays owned by the sending
+// node's processors, so the hierarchy adds no cross-domain coupling and the
+// engine's determinism across worker counts is preserved.
 package memchan
 
 import (
@@ -149,10 +147,6 @@ type Params struct {
 	// node-link rate and its node's uplink share. 0 means the uplink
 	// imposes no bandwidth limit.
 	UplinkBytesPerKCycle int64
-	// LinkShards splits each node's outgoing link into that many parallel
-	// lanes; a message uses the lane indexed by its destination node.
-	// 0 or 1 models the historical single serial link.
-	LinkShards int
 }
 
 // DefaultParams returns parameters calibrated to the paper's prototype,
@@ -168,49 +162,24 @@ func DefaultParams() Params {
 		HeaderBytes:          16,
 		UplinkWire:           1200, // second hop: another 4 us
 		UplinkBytesPerKCycle: 936,  // 8 node links' worth per uplink
-		LinkShards:           1,
 	}
-}
-
-// Lookahead returns the minimum latency of any message under these
-// parameters — the wire latency alone, before transfer time. It bounds the
-// engine's window width (sim.Engine.Lookahead):
-// no message sent at time t can arrive before t+Lookahead. Embedders whose
-// concurrency domains only ever exchange inter-node messages may use the
-// larger RemoteWire bound instead. Uplink latency only adds to RemoteWire,
-// so it never lowers the bound.
-func (p Params) Lookahead() int64 {
-	if p.LocalWire < p.RemoteWire {
-		return p.LocalWire
-	}
-	return p.RemoteWire
-}
-
-// shards returns the effective lane count per node link.
-func (p Params) shards() int {
-	if p.LinkShards <= 1 {
-		return 1
-	}
-	return p.LinkShards
 }
 
 // Network computes message latencies and models per-node Memory Channel
 // link occupancy. It is used from inside simulator processor contexts.
 // With engine workers (sim.Engine.Parallel), processors of different nodes
-// may call Send concurrently: all mutable state — link lanes and diagnostic counters — is
-// sharded per node and only ever touched by the owning node's processors
-// (one conflict domain), so no synchronization is needed and the reported
-// values match a one-worker run's exactly.
+// may call Send concurrently: all mutable state — link occupancy and
+// diagnostic counters — is sharded per node and only ever touched by the
+// owning node's processors (one conflict domain), so no synchronization is
+// needed and the reported values match a one-worker run's exactly.
 type Network struct {
 	topo Topology
 	par  Params
 	// uplinkShare is each node's static slice of its group uplink's
 	// bandwidth (0 when the uplink imposes no limit).
 	uplinkShare int64
-	// lanes is the number of link shards per node.
-	lanes int
-	// linkFree[n*lanes+s] is the earliest cycle lane s of node n's
-	// outgoing link is free. Accessed only by node n's processors.
+	// linkFree[n] is the earliest cycle node n's outgoing link is free.
+	// Accessed only by node n's processors.
 	linkFree []int64
 	// Diagnostic counters, all sharded per sending node and accessed only
 	// by that node's processors; accessors aggregate across nodes, which
@@ -233,7 +202,7 @@ func New(topo Topology, par Params) *Network {
 	n := &Network{
 		topo:        topo,
 		par:         par,
-		lanes:       par.shards(),
+		linkFree:    make([]int64, nodes),
 		remoteSends: make([]int64, nodes),
 		localSends:  make([]int64, nodes),
 		remoteBytes: make([]int64, nodes),
@@ -241,7 +210,6 @@ func New(topo Topology, par Params) *Network {
 		linkWait:    make([]int64, nodes),
 		maxBacklog:  make([]int64, nodes),
 	}
-	n.linkFree = make([]int64, nodes*n.lanes)
 	if topo.Hierarchical() && par.UplinkBytesPerKCycle > 0 {
 		share := par.UplinkBytesPerKCycle / int64(topo.NodesPerGroup)
 		if share < 1 {
@@ -274,8 +242,8 @@ type SendInfo struct {
 	// Arrival is the absolute cycle the message reaches the destination's
 	// inbox.
 	Arrival int64
-	// Queue is the time spent waiting behind earlier messages for a free
-	// lane of the sender node's link (always 0 for intra-node messages).
+	// Queue is the time spent waiting behind earlier messages for the
+	// sender node's link to free (always 0 for intra-node messages).
 	Queue int64
 	// Transfer is the serialization time of the message's bytes.
 	Transfer int64
@@ -290,8 +258,8 @@ type SendInfo struct {
 
 // Send transmits payload of the given size from processor p to dst,
 // computing arrival time from the topology: intra-node messages use the
-// shared-memory queues; inter-node messages use (and occupy) a lane of the
-// sender node's Memory Channel link; cross-group messages additionally pay
+// shared-memory queues; inter-node messages use (and occupy) the sender
+// node's Memory Channel link; cross-group messages additionally pay
 // the uplink latency and are throttled to the node's uplink share. The
 // returned SendInfo reports how the delivery time decomposes.
 func (n *Network) Send(p *sim.Proc, dst int, payloadBytes int, payload any) SendInfo {
@@ -318,19 +286,18 @@ func (n *Network) Send(p *sim.Proc, dst int, payloadBytes int, payload any) Send
 		}
 	}
 	transfer := transferCycles(size, rate)
-	lane := node*n.lanes + n.topo.NodeOf(dst)%n.lanes
 	now := p.Now()
 	start := now
-	if n.linkFree[lane] > start {
-		wait := n.linkFree[lane] - start
+	if n.linkFree[node] > start {
+		wait := n.linkFree[node] - start
 		n.linkWait[node] += wait
 		if wait > n.maxBacklog[node] {
 			n.maxBacklog[node] = wait
 		}
-		start = n.linkFree[lane]
+		start = n.linkFree[node]
 	}
 	n.linkBusy[node] += transfer
-	n.linkFree[lane] = start + transfer
+	n.linkFree[node] = start + transfer
 	p.SendAt(dst, start+transfer+wire, payload)
 	return SendInfo{Arrival: start + transfer + wire, Queue: start - now,
 		Transfer: transfer, Wire: wire, Uplink: uplink}
@@ -356,7 +323,7 @@ func (n *Network) LocalSends() int64 { return sum(n.localSends) }
 func (n *Network) RemoteBytes() int64 { return sum(n.remoteBytes) }
 
 // LinkBusy returns, per node, the cycles its Memory Channel link spent
-// serializing outgoing data (summed across lanes for sharded links).
+// serializing outgoing data.
 func (n *Network) LinkBusy() []int64 {
 	return append([]int64(nil), n.linkBusy...)
 }

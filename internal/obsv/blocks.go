@@ -33,16 +33,6 @@ const (
 	PatternMultiWriter      = "multi-writer"
 )
 
-// Leg weights for the placement advisor's hop cost model, in cycles. A
-// remote leg crosses the Memory Channel (1200-cycle wire plus send and
-// handler occupancy); a local leg stays within an SMP node. The absolute
-// values matter less than their ratio: what the advisor minimizes is the
-// number of remote legs weighted by how often each leg is traversed.
-const (
-	remoteLegCycles = 1800
-	localLegCycles  = 600
-)
-
 // BlockAccess is one processor's attributed activity on a block. The masks
 // are the sub-block slot sets of stats.BlockSlots, rendered as hex strings.
 type BlockAccess struct {
@@ -183,11 +173,11 @@ func classifyBlock(readers, writers []int, wmasks []uint64, misses, invals, upgr
 // of the block's observed misses, and returns the configured home's cost,
 // the best node and its cost. A miss travels requester→home, then either
 // home→requester (the owner is at home: 2 hops) or home→owner→requester
-// (3 hops); each leg costs remoteLegCycles across nodes, localLegCycles
-// within one. The probability the owner sits on a given node is estimated
-// from the per-processor write/upgrade miss counts (a block's owner is its
-// last writer); with no observed writers the block is read-only after init
-// and every miss is served by the home in 2 hops.
+// (3 hops); each leg costs protocol.RemoteLegCycles across nodes,
+// protocol.LocalLegCycles within one. The probability the owner sits on a
+// given node is estimated from the per-processor write/upgrade miss counts
+// (a block's owner is its last writer); with no observed writers the block
+// is read-only after init and every miss is served by the home in 2 hops.
 //
 // Tie-breaking is part of the advisor's contract: when candidate homes have
 // equal hop-weighted cost, the configured home wins, then the lowest node
@@ -198,9 +188,9 @@ func adviseHome(accesses []BlockAccess, homeNode, numNodes, ppn int) (homeCost, 
 	nodeOf := func(p int) int { return p / ppn }
 	leg := func(a, b int) int64 {
 		if a == b {
-			return localLegCycles
+			return protocol.LocalLegCycles
 		}
-		return remoteLegCycles
+		return protocol.RemoteLegCycles
 	}
 	var w int64
 	for _, a := range accesses {

@@ -171,7 +171,6 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 		return
 	}
 	p.poll()
-	cfg := &p.sys.cfg
 	lay := p.sys.lay
 
 	// Collect the (block, needStore) requirements and count line pairs
@@ -216,7 +215,7 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 			li = base + lines
 		}
 	}
-	p.charge(stats.Task, cfg.CheckCosts.BatchCheck(cfg.CheckMode(), linePairs, loadOnly))
+	p.charge(stats.Task, int64(linePairs)*p.sys.checks.batchLine[variant(loadOnly)])
 	p.st.ChecksExecuted++
 
 	ok := true
@@ -267,7 +266,7 @@ func (p *Proc) batchStateOK(base int, store bool) bool {
 // handler, which "sends out requests for any missing blocks" and only then
 // waits for the replies — and stalls until every block is available.
 func (p *Proc) batchMiss(rows []batchRow) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Task, c.Entry)
 	p.trace("batch", "", -1, TraceFields{N: int32(len(rows))})
 	for i := range rows {
@@ -382,13 +381,13 @@ func (p *Proc) batchIssue(need *batchRow) (*missEntry, bool) {
 	st := p.grp.img.State(base)
 	switch {
 	case st == memory.Exclusive:
-		p.charge(stats.Other, p.sys.cfg.Costs.PrivateUpgrade)
+		p.charge(stats.Other, p.sys.cfg.Cal.Costs.PrivateUpgrade)
 		p.setPrivBlock(base, memory.Exclusive)
 		p.st.LocalHits++
 		return nil, false
 
 	case st == memory.Shared && !store:
-		p.charge(stats.Other, p.sys.cfg.Costs.PrivateUpgrade)
+		p.charge(stats.Other, p.sys.cfg.Cal.Costs.PrivateUpgrade)
 		p.setPrivBlock(base, memory.Shared)
 		p.st.LocalHits++
 		return nil, false

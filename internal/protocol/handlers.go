@@ -19,7 +19,7 @@ import (
 // request's latency to its protocol stages. The components telescope:
 // arrive - (send event time) = queue + wire + xfer, exactly.
 func (p *Proc) send(dst int, m *pmsg, cat stats.TimeCategory) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(cat, c.SendOverhead)
 	if m.kind != mWake {
 		if p.sys.tracer != nil {
@@ -61,7 +61,7 @@ func (p *Proc) send(dst int, m *pmsg, cat stats.TimeCategory) {
 func (p *Proc) sendHome(home int, m *pmsg, cat stats.TimeCategory) {
 	if p.sys.cfg.ShareDirectory && p.sys.cfg.SMP() && !p.sys.cfg.Hardware &&
 		p.sys.procs[home].grp == p.grp {
-		p.charge(cat, p.sys.cfg.Costs.MissTableOp)
+		p.charge(cat, p.sys.cfg.Cal.Costs.MissTableOp)
 		p.sys.net.Send(p.sp, p.id, 0, m)
 		return
 	}
@@ -171,7 +171,7 @@ func (p *Proc) handle(m *pmsg) {
 // that invalidation was sent), and serving from such a stale copy would
 // leak pre-transaction data.
 func (p *Proc) handleReadReq(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.HomeHandler)
 	base, R := m.baseLine, m.requester
 	sameGroup := p.grp == p.sys.procs[R].grp
@@ -258,7 +258,7 @@ func (p *Proc) handleReadReq(m *pmsg) {
 // reads, the directory decides; the group's local state only distinguishes
 // sub-cases within a directory-confirmed branch.
 func (p *Proc) handleReadExclReq(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.HomeHandler)
 	base, R := m.baseLine, m.requester
 	sameGroup := p.grp == p.sys.procs[R].grp
@@ -367,7 +367,7 @@ func (p *Proc) handleUpgradeReq(m *pmsg) {
 		// when the owner's data reply arrives); until then the
 		// requester's pending entry must not satisfy loads or serve
 		// forwards from the outdated data.
-		c := p.sys.cfg.Costs
+		c := p.sys.cfg.Cal.Costs
 		p.charge(stats.Message, c.HomeHandler)
 		p.lockBlock(base)
 		owner := de.owner
@@ -381,7 +381,7 @@ func (p *Proc) handleUpgradeReq(m *pmsg) {
 		p.unlockBlock(base)
 		return
 	}
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.HomeHandler)
 	p.lockBlock(base)
 	targets := de.sharers.andNot(gm)
@@ -431,7 +431,7 @@ func (p *Proc) replyData(R, base int, req *pmsg, hops int) {
 
 // handleReadFwd processes a read request forwarded to the owner.
 func (p *Proc) handleReadFwd(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.OwnerHandler)
 	base, R := m.baseLine, m.requester
 	p.lockBlock(base)
@@ -481,7 +481,7 @@ func (p *Proc) handleReadFwd(m *pmsg) {
 // handleReadExclFwd processes a read-exclusive request forwarded to the
 // owner.
 func (p *Proc) handleReadExclFwd(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.OwnerHandler)
 	base, R := m.baseLine, m.requester
 	p.lockBlock(base)
@@ -593,7 +593,7 @@ func (p *Proc) notifyClean(base int, seq int64) {
 
 // handleSharingUpdate processes an owner's clean notification at the home.
 func (p *Proc) handleSharingUpdate(m *pmsg) {
-	p.charge(stats.Message, p.sys.cfg.Costs.MissTableOp)
+	p.charge(stats.Message, p.sys.cfg.Cal.Costs.MissTableOp)
 	de := p.getDir(m.baseLine)
 	if m.seq == de.seq {
 		de.dirty = false
@@ -619,7 +619,7 @@ func (p *Proc) invalidateLocal(base int) {
 
 // handleInval processes an invalidation at a sharer.
 func (p *Proc) handleInval(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.InvalHandler)
 	p.applyHomeHint(m)
 	base, R := m.baseLine, m.requester
@@ -682,7 +682,7 @@ func (p *Proc) handleInval(m *pmsg) {
 // handleInvalAck processes an invalidation acknowledgement at the
 // requester.
 func (p *Proc) handleInvalAck(m *pmsg) {
-	p.charge(stats.Message, p.sys.cfg.Costs.MissTableOp)
+	p.charge(stats.Message, p.sys.cfg.Cal.Costs.MissTableOp)
 	base := m.baseLine
 	p.lockBlock(base)
 	// Acknowledgements are indistinguishable, and transactions for a
@@ -739,7 +739,7 @@ func (p *Proc) recordMissLatency(kind stats.MissKind, base int, issueTime int64)
 
 // handleDataReply installs shared data at the requester.
 func (p *Proc) handleDataReply(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.ReplyHandler)
 	p.applyHomeHint(m)
 	base := m.baseLine
@@ -789,7 +789,7 @@ func (p *Proc) handleDataReply(m *pmsg) {
 
 // handleDataExclReply installs exclusive data at the requester.
 func (p *Proc) handleDataExclReply(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.ReplyHandler)
 	p.applyHomeHint(m)
 	base := m.baseLine
@@ -833,7 +833,7 @@ func (p *Proc) handleDataExclReply(m *pmsg) {
 // handleUpgradeAck grants exclusivity at the requester (data was already
 // valid locally).
 func (p *Proc) handleUpgradeAck(m *pmsg) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.ReplyHandler)
 	p.applyHomeHint(m)
 	base := m.baseLine
@@ -1032,7 +1032,7 @@ func (p *Proc) downgradePriv(base int, target memory.State) {
 // that handles the last one executes the deferred protocol action
 // (Section 3.4.3); processors are never stalled by downgrades.
 func (p *Proc) handleDowngrade(m *pmsg, target memory.State) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.DowngradeHandler)
 	p.st.DowngradeCycles += c.DowngradeHandler
 	base := m.baseLine

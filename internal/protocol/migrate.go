@@ -31,11 +31,17 @@ import "repro/internal/stats"
 // processor migSeq carried in mMigrate and echoed in mMigrateAck
 // disambiguates, and a stale ack is ignored.
 
-// migLocalLeg and migRemoteLeg are the per-hop cycle estimates of the cost
-// model, shared with the offline advisor (internal/obsv).
+// LocalLegCycles and RemoteLegCycles weigh one hop of the migration cost
+// model and of the offline placement advisor (internal/obsv adviseHome),
+// which reads them from here. A remote leg crosses the Memory Channel
+// (1200-cycle wire plus send and handler occupancy); a local leg stays
+// within an SMP node. What both minimize is the number of remote legs
+// weighted by traffic, so the ratio matters more than the values. They are
+// fixed, not part of Calibration: the advisor also reads metrics files,
+// which carry no calibration.
 const (
-	migLocalLeg  = 600
-	migRemoteLeg = 1800
+	LocalLegCycles  = 600
+	RemoteLegCycles = 1800
 )
 
 // migRec is the tombstone an old home keeps for a block it migrated away.
@@ -179,9 +185,9 @@ func (p *Proc) maybeMigrate(base int) {
 	}
 	leg := func(a, b int) int64 {
 		if a == b {
-			return migLocalLeg
+			return LocalLegCycles
 		}
-		return migRemoteLeg
+		return RemoteLegCycles
 	}
 	cost := func(h int) int64 {
 		var c int64
@@ -268,7 +274,7 @@ func (p *Proc) migrateTo(base int, de *dirEntry, target int, homeCost, bestCost,
 // tombstone is dropped and anything queued on it is re-handled right here —
 // this processor is the live home again.
 func (p *Proc) handleMigrate(m *pmsg) {
-	p.charge(stats.Message, p.sys.cfg.Costs.HomeHandler)
+	p.charge(stats.Message, p.sys.cfg.Cal.Costs.HomeHandler)
 	base := m.baseLine
 	var replay []*pmsg
 	if rec := p.migrated[base]; rec != nil {
@@ -308,7 +314,7 @@ func (p *Proc) handleMigrate(m *pmsg) {
 // starts forwarding, beginning with everything queued on it (FIFO, so
 // per-block request order through the old home is preserved).
 func (p *Proc) handleMigrateAck(m *pmsg) {
-	p.charge(stats.Message, p.sys.cfg.Costs.MissTableOp)
+	p.charge(stats.Message, p.sys.cfg.Cal.Costs.MissTableOp)
 	rec := p.migrated[m.baseLine]
 	if rec == nil || rec.seq != m.id || rec.acked {
 		return // stale ack, superseded by a re-home
@@ -325,7 +331,7 @@ func (p *Proc) handleMigrateAck(m *pmsg) {
 // tombstoned block: queued until the hand-off is acknowledged, forwarded
 // afterwards.
 func (p *Proc) divertMigrated(rec *migRec, m *pmsg) {
-	p.charge(stats.Message, p.sys.cfg.Costs.MissTableOp)
+	p.charge(stats.Message, p.sys.cfg.Cal.Costs.MissTableOp)
 	if !rec.acked {
 		rec.queued = append(rec.queued, m)
 		return

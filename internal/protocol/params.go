@@ -12,74 +12,8 @@ package protocol
 import (
 	"fmt"
 
-	"repro/internal/checks"
 	"repro/internal/memchan"
 )
-
-// Costs are protocol cycle costs (300 cycles = 1 us), calibrated so the
-// simulated latencies match the paper's measurements: ~20 us to fetch a
-// 64-byte block from a remote node (two hops) and ~11 us from another
-// processor on the same node under Base-Shasta.
-type Costs struct {
-	// Entry is the cost of entering the protocol on a miss (saving
-	// registers and dispatching), part of task time per the paper.
-	Entry int64
-	// HomeHandler is the occupancy of a request handler at the home
-	// (directory lookup and update).
-	HomeHandler int64
-	// OwnerHandler is the occupancy of a forwarded-request handler at
-	// the owner.
-	OwnerHandler int64
-	// ReplyHandler is the occupancy of a reply handler at the requester
-	// (copying data, updating states, waking waiters).
-	ReplyHandler int64
-	// InvalHandler is the occupancy of an invalidation handler at a
-	// sharer.
-	InvalHandler int64
-	// DowngradeHandler is the occupancy of an intra-node downgrade
-	// message handler (SMP-Shasta).
-	DowngradeHandler int64
-	// SendOverhead is per-message send occupancy at the sender.
-	SendOverhead int64
-	// LockAcquire and LockRelease are the per-operation costs of the
-	// protocol line locks (SMP-Shasta only; Base-Shasta needs none).
-	LockAcquire, LockRelease int64
-	// LockSpin is the busy-wait step while a line lock is held.
-	LockSpin int64
-	// PrivateUpgrade is the cost of upgrading a private state table
-	// entry when the block is already valid in the group.
-	PrivateUpgrade int64
-	// MissTableOp is the cost of creating or updating a miss entry.
-	MissTableOp int64
-	// HWLock and HWBarrierPerProc are the synchronization costs of
-	// hardware mode (the ANL-macro comparison runs).
-	HWLock, HWBarrierPerProc int64
-	// SyncHandler is the occupancy of lock-manager and barrier-manager
-	// message handlers.
-	SyncHandler int64
-}
-
-// DefaultCosts returns costs calibrated to the prototype (see package
-// comment).
-func DefaultCosts() Costs {
-	return Costs{
-		Entry:            300, // ~1 us: register save + dispatch
-		HomeHandler:      900, // ~3 us
-		OwnerHandler:     900,
-		ReplyHandler:     900,
-		InvalHandler:     600,
-		DowngradeHandler: 900,
-		SendOverhead:     200,
-		LockAcquire:      50, // several per protocol op give the paper's
-		LockRelease:      50, // "few us" latency increase on misses
-		LockSpin:         30,
-		PrivateUpgrade:   60,
-		MissTableOp:      80,
-		HWLock:           60,
-		HWBarrierPerProc: 30,
-		SyncHandler:      300,
-	}
-}
 
 // Config describes one simulated run.
 type Config struct {
@@ -163,12 +97,9 @@ type Config struct {
 	// MaxOutstanding is the per-processor limit on outstanding store
 	// misses before the processor stalls (write time).
 	MaxOutstanding int
-	// Net carries the interconnect parameters.
-	Net memchan.Params
-	// Costs carries protocol costs.
-	Costs Costs
-	// CheckCosts carries inline-check costs.
-	CheckCosts checks.Costs
+	// Cal carries the interconnect, protocol and inline-check constants; the
+	// zero value selects DefaultCalibration.
+	Cal Calibration
 }
 
 // WithDefaults fills unset fields with the paper's defaults.
@@ -197,19 +128,14 @@ func (c Config) WithDefaults() Config {
 	if c.MigrateThreshold == 0 {
 		c.MigrateThreshold = 600
 	}
-	if c.Net == (memchan.Params{}) {
-		c.Net = memchan.DefaultParams()
-	}
-	if c.Costs == (Costs{}) {
-		c.Costs = DefaultCosts()
-	}
-	if c.CheckCosts == (checks.Costs{}) {
-		c.CheckCosts = checks.Default()
+	if c.Cal == (Calibration{}) {
+		c.Cal = DefaultCalibration()
 	}
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: it is the one gate, so a config it
+// accepts builds a System and runs.
 func (c Config) Validate() error {
 	if c.NumProcs <= 0 {
 		return fmt.Errorf("protocol: NumProcs %d", c.NumProcs)
@@ -217,6 +143,18 @@ func (c Config) Validate() error {
 	if c.NumProcs > MaxProcs {
 		return fmt.Errorf("protocol: NumProcs %d exceeds the %d-processor limit (raise procSetWords)",
 			c.NumProcs, MaxProcs)
+	}
+	if err := c.topology().Validate(); err != nil {
+		return err
+	}
+	if err := c.Cal.Validate(); err != nil {
+		return err
+	}
+	// WithDefaults replaces a zero, so only a negative value reaches here.
+	if c.Clustering < 1 || c.MaxOutstanding < 1 || c.MigrateInterval < 1 || c.MigrateThreshold < 1 {
+		return fmt.Errorf("protocol: Clustering %d, MaxOutstanding %d, MigrateInterval %d and "+
+			"MigrateThreshold %d must all be positive",
+			c.Clustering, c.MaxOutstanding, c.MigrateInterval, c.MigrateThreshold)
 	}
 	if c.Clustering > c.ProcsPerNode {
 		return fmt.Errorf("protocol: clustering %d exceeds node size %d",
@@ -244,16 +182,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// CheckMode returns the checking mode the configuration implies.
-func (c Config) CheckMode() checks.Mode {
-	switch {
-	case c.Hardware:
-		return checks.ModeOff
-	case c.Clustering > 1 || c.ForceSMPChecks:
-		return checks.ModeSMP
-	default:
-		return checks.ModeBase
+// topology is the interconnect's view of the configuration: a run with fewer
+// processors than a node fills one partial node.
+func (c Config) topology() memchan.Topology {
+	t := memchan.Topology{NumProcs: c.NumProcs, ProcsPerNode: c.ProcsPerNode,
+		NodesPerGroup: c.NodesPerGroup}
+	if c.NumProcs < c.ProcsPerNode {
+		t.ProcsPerNode = c.NumProcs
 	}
+	return t
 }
 
 // SMP reports whether the run uses the SMP-Shasta protocol.

@@ -121,7 +121,7 @@ func (p *Proc) charge(cat stats.TimeCategory, cycles int64) {
 // Shasta's loop-backedge polling — so no message is ever handled between a
 // successful inline check and its load or store.
 func (p *Proc) poll() {
-	p.charge(stats.Task, p.sys.cfg.CheckCosts.PollCost(p.sys.cfg.CheckMode()))
+	p.charge(stats.Task, p.sys.checks.poll)
 	for {
 		m, ok := p.sp.TryRecv()
 		if !ok {
@@ -163,7 +163,7 @@ func (p *Proc) lockBlock(baseLine int) {
 	if !p.sys.cfg.SMP() {
 		return
 	}
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Other, c.LockAcquire)
 	for {
 		holder, held := p.grp.locks[baseLine]
@@ -192,7 +192,7 @@ func (p *Proc) unlockBlock(baseLine int) {
 	delete(p.grp.locks, baseLine)
 	p.holdingLock = -1
 	p.st.LockHoldCycles += p.sp.Now() - p.lockAcquiredAt
-	p.charge(stats.Other, p.sys.cfg.Costs.LockRelease)
+	p.charge(stats.Other, p.sys.cfg.Cal.Costs.LockRelease)
 }
 
 // privState returns the state consulted by inline store checks: the private
@@ -250,8 +250,7 @@ func (p *Proc) load(addr memory.Addr, size int, fp bool) uint64 {
 		return p.rawRead(addr, size)
 	}
 	p.poll()
-	cfg := &p.sys.cfg
-	p.charge(stats.Task, cfg.CheckCosts.LoadCheck(cfg.CheckMode(), fp))
+	p.charge(stats.Task, p.sys.checks.load[variant(fp)])
 	p.st.ChecksExecuted++
 	v := p.rawRead(addr, size)
 	if !flagHit(v, size) {
@@ -295,7 +294,7 @@ func (p *Proc) rawWrite(addr memory.Addr, size int, v uint64) {
 // with pending requests, serves from pending-downgrade blocks, or issues a
 // read request and stalls.
 func (p *Proc) loadMiss(addr memory.Addr, size int) uint64 {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Task, c.Entry)
 	base, lines := p.sys.lay.BlockOf(addr)
 	mask := p.markAccess(base, lines, addr, size, false)
@@ -420,8 +419,7 @@ func (p *Proc) store(addr memory.Addr, size int, v uint64) {
 		return
 	}
 	p.poll()
-	cfg := &p.sys.cfg
-	p.charge(stats.Task, cfg.CheckCosts.StoreCheck(cfg.CheckMode()))
+	p.charge(stats.Task, p.sys.checks.store)
 	p.st.ChecksExecuted++
 	li := p.sys.lay.LineOf(addr)
 	if p.privState(li) == memory.Exclusive {
@@ -433,7 +431,7 @@ func (p *Proc) store(addr memory.Addr, size int, v uint64) {
 
 // storeMiss is the store miss handler.
 func (p *Proc) storeMiss(addr memory.Addr, size int, v uint64) {
-	c := p.sys.cfg.Costs
+	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Task, c.Entry)
 	base, lines := p.sys.lay.BlockOf(addr)
 	mask := p.markAccess(base, lines, addr, size, true)
@@ -555,7 +553,7 @@ func (p *Proc) stallOutstanding() {
 // (the batch emits touch events with the exact slots instead), and the event
 // marks them so the detector does not mistake them for evidence.
 func (p *Proc) newMissEntry(base int, kind stats.MissKind, rdMask, wrMask uint64, declared bool) *missEntry {
-	p.charge(stats.Other, p.sys.cfg.Costs.MissTableOp)
+	p.charge(stats.Other, p.sys.cfg.Cal.Costs.MissTableOp)
 	if p.sys.tracer != nil {
 		p.trace("miss", "", base, TraceFields{Kind: kind, Declared: declared, HasMasks: true,
 			Rd: rdMask, Wr: wrMask, HasBlock: true, Block: p.blockState(base)})

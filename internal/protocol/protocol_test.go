@@ -593,41 +593,59 @@ func TestRandomSharedCounterStress(t *testing.T) {
 	}
 }
 
+// fetchCycles runs one 64-byte read miss by reader of a block homed at
+// processor 0 of a Base-Shasta system and returns its latency in cycles.
+func fetchCycles(t *testing.T, cal Calibration, procs, reader int) int64 {
+	t.Helper()
+	s := New(Config{NumProcs: procs, ProcsPerNode: 4, Clustering: 1, HeapBytes: 1 << 20, Cal: cal})
+	a := s.AllocPlaced(64, 64, 0)
+	s.Run(func(p *Proc) {
+		p.Barrier()
+		if p.ID() == reader {
+			_ = p.LoadF64(a)
+		}
+		p.Barrier()
+	})
+	var sum, n int64
+	for i := range s.Stats().Procs {
+		sum += s.Stats().Procs[i].ReadLatencySum
+		n += s.Stats().Procs[i].ReadLatencyCount
+	}
+	if n != 1 {
+		t.Fatalf("%d read misses timed, want 1", n)
+	}
+	return sum
+}
+
 func TestReadLatencyCalibration(t *testing.T) {
 	// A remote 2-hop 64-byte fetch should take roughly 20 us, and an
-	// intra-node fetch roughly 11 us, per the paper's measurements.
-	remote := func() float64 {
-		s := testSystem(8, 1)
-		a := s.AllocPlaced(64, 64, 0)
-		s.Run(func(p *Proc) {
-			p.Barrier()
-			if p.ID() == 4 {
-				_ = p.LoadF64(a)
-			}
-			p.Barrier()
-		})
-		return s.Stats().AvgReadLatencyMicros()
-	}()
-	local := func() float64 {
-		s := testSystem(4, 1)
-		a := s.AllocPlaced(64, 64, 0)
-		s.Run(func(p *Proc) {
-			p.Barrier()
-			if p.ID() == 1 {
-				_ = p.LoadF64(a)
-			}
-			p.Barrier()
-		})
-		return s.Stats().AvgReadLatencyMicros()
-	}()
-	if remote < 14 || remote > 26 {
-		t.Errorf("remote 2-hop latency = %.1f us, want ~20", remote)
+	// intra-node fetch roughly 11 us, per the paper's measurements. Doubling
+	// the Memory Channel wire latency adds the difference once per
+	// inter-node leg of the 2-hop fetch and leaves the intra-node fetch
+	// alone.
+	slow := DefaultCalibration()
+	slow.Net.RemoteWire *= 2
+	cals := []Calibration{DefaultCalibration(), slow}
+	var remote, local [2]int64
+	for i, cal := range cals {
+		remote[i], local[i] = fetchCycles(t, cal, 8, 4), fetchCycles(t, cal, 4, 1)
 	}
-	if local < 7 || local > 15 {
-		t.Errorf("local fetch latency = %.1f us, want ~11", local)
+	us := func(c int64) float64 { return float64(c) / 300 }
+	if r := us(remote[0]); r < 14 || r > 26 {
+		t.Errorf("remote 2-hop latency = %.1f us, want ~20", r)
 	}
-	if local >= remote {
-		t.Errorf("local latency %.1f not below remote %.1f", local, remote)
+	if l := us(local[0]); l < 7 || l > 15 {
+		t.Errorf("local fetch latency = %.1f us, want ~11", l)
+	}
+	if local[0] >= remote[0] {
+		t.Errorf("local latency %.1f not below remote %.1f", us(local[0]), us(remote[0]))
+	}
+	dWire := cals[1].Net.RemoteWire - cals[0].Net.RemoteWire
+	if got := remote[1] - remote[0]; got != 2*dWire {
+		t.Errorf("wire x2: remote fetch rose %d cycles, want 2 x %d", got, dWire)
+	}
+	if got := local[1] - local[0]; got != 0 {
+		t.Errorf("wire x2: intra-node fetch moved %d cycles, want 0", got)
 	}
 }
 

@@ -26,9 +26,9 @@ import (
 // synchronization costs.
 func (p *Proc) syncCost() int64 {
 	if p.sys.cfg.Hardware || p.sys.cfg.NumProcs == 1 {
-		return p.sys.cfg.Costs.HWLock
+		return p.sys.cfg.Cal.Costs.HWLock
 	}
-	return p.sys.cfg.Costs.SyncHandler
+	return p.sys.cfg.Cal.Costs.SyncHandler
 }
 
 // releaseStores performs the release-side wait: all store misses of this
@@ -163,7 +163,7 @@ func (p *Proc) Barrier() {
 	p.releaseStores()
 	if p.sys.cfg.FastSync && p.sys.cfg.SMP() && !p.sys.cfg.Hardware {
 		g := p.grp
-		p.charge(stats.Sync, p.sys.cfg.Costs.HWBarrierPerProc)
+		p.charge(stats.Sync, p.sys.cfg.Cal.Costs.HWBarrierPerProc)
 		g.fsArrived++
 		if g.fsArrived == len(g.members) {
 			g.fsArrived = 0

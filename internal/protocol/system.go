@@ -16,11 +16,13 @@ import (
 // records the layout, the page homes and the placement; the heap images and
 // state tables are built at Run, over what was allocated (see materialize).
 type System struct {
-	cfg   Config
-	eng   *sim.Engine
-	net   *memchan.Network
-	lay   *memory.Layout
-	stats *stats.Run
+	cfg Config
+	// checks is the inline-check cost table cfg implies.
+	checks checkTable
+	eng    *sim.Engine
+	net    *memchan.Network
+	lay    *memory.Layout
+	stats  *stats.Run
 
 	groups []*group
 	procs  []*Proc
@@ -190,17 +192,14 @@ func New(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	topo := memchan.Topology{NumProcs: cfg.NumProcs, ProcsPerNode: cfg.ProcsPerNode,
-		NodesPerGroup: cfg.NodesPerGroup}
-	if cfg.NumProcs < cfg.ProcsPerNode {
-		topo.ProcsPerNode = cfg.NumProcs
-	}
+	topo := cfg.topology()
 	s := &System{
-		cfg:   cfg,
-		eng:   sim.NewEngine(cfg.NumProcs),
-		net:   memchan.New(topo, cfg.Net),
-		lay:   memory.NewLayout(cfg.LineSize, cfg.HeapBytes),
-		stats: stats.NewRun(cfg.NumProcs),
+		cfg:    cfg,
+		checks: cfg.checkTable(),
+		eng:    sim.NewEngine(cfg.NumProcs),
+		net:    memchan.New(topo, cfg.Cal.Net),
+		lay:    memory.NewLayout(cfg.LineSize, cfg.HeapBytes),
+		stats:  stats.NewRun(cfg.NumProcs),
 	}
 	s.pageHome = make([]int16, cfg.HeapBytes/memory.PageSize)
 	s.statBase = make([]stats.Proc, cfg.NumProcs)
@@ -260,10 +259,10 @@ func New(cfg Config) *System {
 	// tables). Groups nest inside nodes under every valid configuration
 	// except Hardware mode's single global group, so the domains are the
 	// nodes — and every cross-domain message is inter-node, which makes
-	// the full RemoteWire latency (not the smaller generic
-	// Params.Lookahead bound) a valid lookahead.
+	// the full RemoteWire latency (not the smaller intra-node LocalWire) a
+	// valid lookahead.
 	s.eng.Parallel = cfg.Parallel
-	s.eng.Lookahead = cfg.Net.RemoteWire
+	s.eng.Lookahead = cfg.Cal.Net.RemoteWire
 	s.eng.SetDomains(conflictDomains(topo, groupSize, cfg.NumProcs))
 	return s
 }

@@ -16,8 +16,9 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := shasta.NewCluster(shasta.Config{Procs: -2}); err == nil {
 		t.Fatal("negative processor count should be rejected")
 	}
-	// A bad heap geometry is a diagnostic like every other bad field, not a
-	// panic out of the memory layer.
+	// A bad heap geometry, topology or count is a diagnostic like every
+	// other bad field: not a panic out of the memory or interconnect layer,
+	// and not a deadlock at Run.
 	for _, cfg := range []shasta.Config{
 		{Procs: 4, LineSize: 4},
 		{Procs: 4, LineSize: 12},
@@ -25,10 +26,23 @@ func TestNewClusterValidation(t *testing.T) {
 		{Procs: 4, LineSize: 96},
 		{Procs: 4, LineSize: 128, HeapBytes: 1<<20 + 64},
 		{Procs: 4, HeapBytes: -64},
+		{MaxOutstanding: -1},
+		{Clustering: -1},
+		{NodesPerGroup: -2},
+		{Procs: 8, ProcsPerNode: 3},
+		{Migrate: true, MigrateInterval: -1},
+		{Migrate: true, MigrateThreshold: -5},
 	} {
-		if _, err := shasta.NewCluster(cfg); err == nil || !strings.HasPrefix(err.Error(), "shasta: ") {
-			t.Errorf("LineSize %d, HeapBytes %d: error %v, want a shasta: diagnostic", cfg.LineSize, cfg.HeapBytes, err)
-		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%+v: NewCluster panicked: %v", cfg, r)
+				}
+			}()
+			if _, err := shasta.NewCluster(cfg); err == nil || !strings.HasPrefix(err.Error(), "shasta: ") {
+				t.Errorf("%+v: error %v, want a shasta: diagnostic", cfg, err)
+			}
+		}()
 	}
 	if _, err := shasta.NewCluster(shasta.Config{Procs: 4, LineSize: 256, HeapBytes: 1 << 20}); err != nil {
 		t.Errorf("256-byte lines rejected: %v", err)
