@@ -296,7 +296,11 @@ func readTraces(paths []string) ([]protocol.TraceEvent, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		all = append(all, events...)
+		if all == nil {
+			all = events // the first file's events are not copied
+		} else {
+			all = append(all, events...)
+		}
 	}
 	return all, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -387,6 +388,30 @@ func TestRacesGappedTraceExits2(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "ok:") {
 		t.Fatalf("gapped trace must not be reported race-free:\n%s", stdout.String())
+	}
+}
+
+// TestConcatenatedSegmentsExit2: two segments joined into one file (a cat
+// of rotated segments) are a usage error naming the second header, not a
+// trace with a phantom event that summarize counts and check flags.
+func TestConcatenatedSegmentsExit2(t *testing.T) {
+	data, err := os.ReadFile("testdata/small.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "joined.jsonl")
+	if err := os.WriteFile(path, append(data, data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	line := bytes.Count(data, []byte("\n")) + 1
+	for _, cmd := range []string{"summarize", "check"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{cmd, path}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit code %d, want 2; stdout:\n%s", cmd, code, stdout.String())
+		}
+		if want := fmt.Sprintf("line %d: bad trace event: a trace header inside the trace", line); !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s: diagnostic %q does not say %q", cmd, stderr.String(), want)
+		}
 	}
 }
 

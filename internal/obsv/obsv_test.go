@@ -68,6 +68,19 @@ func TestReadTraceRejects(t *testing.T) {
 		"newer version": {`{"schema":"shasta-trace","version":99}` + "\n", "obsv: trace version 99 is newer than supported version 1"},
 		"bad event":     {`{"schema":"shasta-trace","version":1}` + "\n\nnot json\n", "obsv: line 3: bad trace event: "},
 		"bad processor": {`{"schema":"shasta-trace","version":1}` + "\n" + `{"seq":1,"t":1,"p":-1,"op":"sync","blk":-1}` + "\n", "obsv: line 2: processor -1 outside 0.."},
+		"empty object":  {traceHeader + "{}\n", `obsv: line 2: bad trace event: no "seq" key`},
+		"null":          {traceHeader + "null\n", "obsv: line 2: bad trace event: expected '{' at column 1"},
+		"no blk":        {traceHeader + `{"seq":1,"t":1,"p":0,"op":"sync"}` + "\n", `obsv: line 2: bad trace event: no "blk" key`},
+		"null op":       {traceHeader + `{"seq":1,"t":1,"p":0,"op":null,"blk":-1}` + "\n", `obsv: line 2: bad trace event: no "op" key`},
+		"second header": {traceHeader + `{"seq":1,"t":1,"p":0,"op":"sync","blk":-1}` + "\n" + traceHeader, "obsv: line 3: bad trace event: a trace header inside the trace: pass each segment as a separate file"},
+		"folded key":    {traceHeader + `{"Seq":1,"t":1,"p":0,"op":"sync","blk":-1}` + "\n", `obsv: line 2: bad trace event: key "Seq" is "seq" only case-insensitively`},
+		"object value":  {traceHeader + `{"seq":1,"t":1,"p":0,"op":"sync","blk":-1,"x":{}}` + "\n", "obsv: line 2: bad trace event: an object or array value at column 47"},
+		"leading zero":  {traceHeader + `{"seq":01,"t":1,"p":0,"op":"sync","blk":-1}` + "\n", "obsv: line 2: bad trace event: expected ',' or '}' at column 9"},
+		"fraction":      {traceHeader + `{"seq":1,"t":1.5,"p":0,"op":"sync","blk":-1}` + "\n", `obsv: line 2: bad trace event: "t": strconv.ParseInt: parsing "1.5": invalid syntax`},
+		"past 2^63":     {traceHeader + `{"seq":1,"t":9223372036854775808,"p":0,"op":"sync","blk":-1}` + "\n", `obsv: line 2: bad trace event: "t": strconv.ParseInt: parsing "9223372036854775808": value out of range`},
+		"wrong type":    {traceHeader + `{"seq":1,"t":1,"p":0,"op":7,"blk":-1}` + "\n", `obsv: line 2: bad trace event: "op": wrong type of value`},
+		"boolean":       {traceHeader + `{"seq":true,"t":1,"p":0,"op":"sync","blk":-1}` + "\n", `obsv: line 2: bad trace event: "seq": wrong type of value`},
+		"long line":     {traceHeader + strings.Repeat("x", 4<<20+1) + "\n", "obsv: line 2: bufio.Scanner: token too long"},
 	}
 	for name, c := range cases {
 		if _, _, err := obsv.ReadTrace(strings.NewReader(c[0])); err == nil || !strings.HasPrefix(err.Error(), c[1]) {
@@ -107,15 +120,7 @@ func TestReadTraceJoinsChunks(t *testing.T) {
 // also stream back through a sink to exactly its committed bytes.
 func TestWriteEventMatchesJSONMarshal(t *testing.T) {
 	marshal := func(e protocol.TraceEvent) string {
-		b, err := json.Marshal(struct {
-			Seq    uint64 `json:"seq"`
-			Time   int64  `json:"t"`
-			Proc   int    `json:"p"`
-			Op     string `json:"op"`
-			Msg    string `json:"msg,omitempty"`
-			Block  int    `json:"blk"`
-			Detail string `json:"detail,omitempty"`
-		}{e.Seq, e.Time, e.Proc, e.Op, e.Msg, e.BaseLine, string(e.AppendDetail(nil))})
+		b, err := json.Marshal(wireEvent{e.Seq, e.Time, e.Proc, e.Op, e.Msg, e.BaseLine, string(e.AppendDetail(nil))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -298,9 +298,14 @@ func (c *detailCodec) num(v int64, base, bits int) int64 {
 		c.out = appendNum(c.out, v, base)
 		return v
 	}
-	digits := "-0123456789abcdef"[:1+base]
-	tok := c.in[:len(c.in)-len(strings.TrimLeft(c.in, digits))]
-	c.in = c.in[len(tok):]
+	n := 0 // the token runs over '-' and the base's digits
+	for ; n < len(c.in); n++ {
+		if d := c.in[n]; d != '-' && (d < '0' || d > '9') && (base != 16 || d < 'a' || d > 'f') {
+			break
+		}
+	}
+	tok := c.in[:n]
+	c.in = c.in[n:]
 	var err error
 	if base == 16 {
 		var u uint64
