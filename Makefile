@@ -9,13 +9,17 @@
 # application/harness integration tests, which take ~1 min. The analysis
 # line covers the stats shards, the observability layer (including the
 # request-span reconstruction and its fuzzed degradation tests) and the
-# shastatrace CLI goldens. The allocation line reruns the malloc-budget pins
-# (hand-off, message delivery, emission merge, batch hit, trace
-# emission, untraced handler, wake-up, stats shards, the depth buffers' bound
-# and a cluster's independence of its heap capacity) without the race
-# detector, whose runtime allocates on its own and so cannot hold a malloc
-# budget; the same line runs the root package's table of invalid configs,
-# each of which must be a shasta: error, never a panic.
+# shastatrace CLI goldens and fixtures. It also holds the snapshot's blocks
+# section to the old full-row builder on every application (10-16 s on a
+# 2-core host) and runs the metrics snapshot's malloc-budget pin,
+# TestSnapshotAllocsStayBounded (under 1 s), both without the race detector.
+# The allocation line reruns the other malloc-budget pins (hand-off, message
+# delivery, emission merge, batch hit, trace emission, untraced handler,
+# wake-up, stats shards, the depth buffers' bound and a cluster's
+# independence of its heap capacity) without the race detector, whose
+# runtime allocates on its own and so cannot hold a malloc budget; the same
+# line runs the root package's table of invalid configs, each of which must
+# be a shasta: error, never a panic.
 .PHONY: check test paper-check bench bench-compare gobench
 
 check:

@@ -113,7 +113,8 @@ func writeTrace(t *testing.T, path string, events []protocol.TraceEvent) {
 	}
 }
 
-// regenFixtures rewrites the committed input fixtures:
+// regenFixtures writes the committed input fixtures into dir (testdata
+// under -update):
 //
 //	small.jsonl    full trace of the fixture run
 //	bench.json     metrics snapshot of the same run
@@ -127,12 +128,12 @@ func writeTrace(t *testing.T, path string, events []protocol.TraceEvent) {
 //	               false-sharing granularity for LU)
 //	racy.jsonl     trace of the synthetic Racy workload with the drop-lock
 //	               injection — the races analysis must flag it
-func regenFixtures(t *testing.T) {
+func regenFixtures(t *testing.T, dir string) {
 	t.Helper()
 	col := &shasta.CollectorTracer{}
 	cluster := fixtureRun(col)
-	writeTrace(t, "testdata/small.jsonl", col.Events)
-	writeMetrics(t, "testdata/bench.json", cluster.Metrics())
+	writeTrace(t, filepath.Join(dir, "small.jsonl"), col.Events)
+	writeMetrics(t, filepath.Join(dir, "bench.json"), cluster.Metrics())
 
 	// Clustering 1 (base Shasta): intra-node hardware sharing is invisible
 	// to the trace, so the injected accesses must all be protocol events.
@@ -141,20 +142,20 @@ func regenFixtures(t *testing.T) {
 		shasta.Config{Procs: 8, Clustering: 1}, false, rcol); err != nil {
 		t.Fatal(err)
 	}
-	writeTrace(t, "testdata/racy.jsonl", rcol.Events)
+	writeTrace(t, filepath.Join(dir, "racy.jsonl"), rcol.Events)
 
-	writeMetrics(t, "testdata/threehop.json", threehopRun().Metrics())
+	writeMetrics(t, filepath.Join(dir, "threehop.json"), threehopRun().Metrics())
 
 	mcol := &shasta.CollectorTracer{}
 	migrateRun(mcol)
-	writeTrace(t, "testdata/migrate.jsonl", mcol.Events)
+	writeTrace(t, filepath.Join(dir, "migrate.jsonl"), mcol.Events)
 
 	r, err := apps.ExecuteObserved(apps.Registry["LU"](1),
 		shasta.Config{Procs: 8, Clustering: 4, LineSize: 256}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeMetrics(t, "testdata/lu256.json", r.Metrics)
+	writeMetrics(t, filepath.Join(dir, "lu256.json"), r.Metrics)
 
 	byBlk := map[int]int{}
 	for _, e := range col.Events {
@@ -174,7 +175,7 @@ func regenFixtures(t *testing.T) {
 			filtered = append(filtered, e)
 		}
 	}
-	writeTrace(t, "testdata/filtered.jsonl", filtered)
+	writeTrace(t, filepath.Join(dir, "filtered.jsonl"), filtered)
 
 	var corrupt []protocol.TraceEvent
 	dropped := false
@@ -191,12 +192,41 @@ func regenFixtures(t *testing.T) {
 	for i := range corrupt {
 		corrupt[i].Seq = uint64(i + 1) // close the gap: the anomaly is the orphan handle
 	}
-	writeTrace(t, "testdata/corrupt.jsonl", corrupt)
+	writeTrace(t, filepath.Join(dir, "corrupt.jsonl"), corrupt)
+}
+
+// TestFixturesDoNotDrift regenerates the input fixtures from fresh runs and
+// requires them to equal the committed ones byte for byte, so a change that
+// moves a trace or a snapshot cannot leave the goldens testing stale input.
+func TestFixturesDoNotDrift(t *testing.T) {
+	dir := t.TempDir()
+	regenFixtures(t, dir)
+	fresh, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh) != 8 {
+		t.Errorf("regenerated %d fixtures, want the 8 regenFixtures documents", len(fresh))
+	}
+	for _, f := range fresh {
+		got, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("testdata/%s differs from a fresh run (%d vs %d bytes); regenerate with -update if the change is intended",
+				f.Name(), len(want), len(got))
+		}
+	}
 }
 
 func TestGolden(t *testing.T) {
 	if *update {
-		regenFixtures(t)
+		regenFixtures(t, "testdata")
 	}
 	cases := []struct {
 		name     string

@@ -1,8 +1,9 @@
 package obsv
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -128,18 +129,6 @@ func disjointMasks(masks []uint64) bool {
 	return n >= 2
 }
 
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // classifyBlock assigns the sharing pattern from the aggregated evidence.
 // readers and writers are sorted distinct processor sets; wmasks the
 // writers' offset masks; upgrades the block's upgrade-miss total.
@@ -160,7 +149,7 @@ func classifyBlock(readers, writers []int, wmasks []uint64, misses, invals, upgr
 	}
 	// Every writer also reads and vice versa: ownership migrates with a
 	// read-modify-write pattern (locks, reduction cells).
-	if sameInts(readers, writers) {
+	if slices.Equal(readers, writers) {
 		return PatternMigratory
 	}
 	if invals > 0 || upgrades > 0 {
@@ -250,105 +239,186 @@ func adviseHome(accesses []BlockAccess, homeNode, numNodes, ppn int) (homeCost, 
 	return homeCost, bestCost, bestNode
 }
 
+// blockShard is one processor's counter shard on one block; its key,
+// block<<32 | processor, orders shards by (block, processor).
+type blockShard struct {
+	key uint64
+	b   *stats.BlockStat
+}
+
+func (s blockShard) block() int { return int(s.key >> 32) }
+func (s blockShard) proc() int  { return int(uint32(s.key)) }
+
+// blockRow is one active block reduced to what ordering and the size hint
+// need; its shards are shards[lo:lo+n] of the sorted shard list.
+type blockRow struct {
+	blk      int
+	activity int64
+	lo, n    int32
+	larger   bool
+}
+
+// sharing is a block's classification evidence. Its slices are reused from
+// one block to the next, so the compact pass allocates nothing per block.
+type sharing struct {
+	readers, writers []int
+	wmasks           []uint64
+
+	misses, invals, upgrades, activity int64
+	pattern                            string
+}
+
+// shardMisses returns one shard's miss total and its write-side (write and
+// upgrade) misses.
+func shardMisses(b *stats.BlockStat) (miss, wmiss int64) {
+	miss = b.MissTotal()
+	return miss, miss - b.Misses[stats.ReadMiss][0] - b.Misses[stats.ReadMiss][1]
+}
+
+// reduce fills s from one block's shards, given in processor order.
+func (s *sharing) reduce(shards []blockShard) {
+	*s = sharing{readers: s.readers[:0], writers: s.writers[:0], wmasks: s.wmasks[:0]}
+	for _, sh := range shards {
+		b := sh.b
+		miss, wmiss := shardMisses(b)
+		s.misses += miss
+		s.upgrades += b.Misses[stats.UpgradeMiss][0] + b.Misses[stats.UpgradeMiss][1]
+		s.invals += b.InvalsRecv + b.InvalsSent
+		s.activity += miss + b.InvalsRecv + b.InvalsSent + b.Downgrades
+		if b.ReadMask != 0 || miss-wmiss > 0 {
+			s.readers = append(s.readers, sh.proc())
+		}
+		if b.WriteMask != 0 || wmiss > 0 {
+			s.writers = append(s.writers, sh.proc())
+			s.wmasks = append(s.wmasks, b.WriteMask)
+		}
+	}
+	s.pattern = classifyBlock(s.readers, s.writers, s.wmasks, s.misses, s.invals, s.upgrades)
+}
+
+// sameRun reports whether a block continues its predecessor's run for the
+// "larger" size hint: the same stable pattern and identical sharer sets.
+func (s *sharing) sameRun(prev *sharing) bool {
+	switch s.pattern {
+	case PatternReadOnly, PatternSingleWriter, PatternProducerConsumer:
+	default:
+		return false
+	}
+	return s.pattern == prev.pattern &&
+		slices.Equal(s.readers, prev.readers) && slices.Equal(s.writers, prev.writers)
+}
+
+// compactRows makes one pass over the shards, sorted by (block, processor),
+// and returns one row per active block in block order. linesOf gives a
+// block's length in lines, which locates its adjacent successor.
+func compactRows(shards []blockShard, linesOf func(blk int) int) []blockRow {
+	nblocks := 0
+	for i := range shards {
+		if i == 0 || shards[i].block() != shards[i-1].block() {
+			nblocks++
+		}
+	}
+	rows := make([]blockRow, 0, nblocks)
+	var cur, prev sharing
+	next := -1 // the block that would be adjacent to the previous one
+	for lo := 0; lo < len(shards); {
+		blk := shards[lo].block()
+		hi := lo + 1
+		for hi < len(shards) && shards[hi].block() == blk {
+			hi++
+		}
+		cur.reduce(shards[lo:hi])
+		r := blockRow{blk: blk, activity: cur.activity, lo: int32(lo), n: int32(hi - lo)}
+		// Adjacent blocks with the same stable pattern and identical sharer
+		// sets would amortize miss overhead under a coarser granularity.
+		if blk == next && cur.sameRun(&prev) {
+			rows[len(rows)-1].larger = true
+			r.larger = true
+		}
+		rows = append(rows, r)
+		next = blk + linesOf(blk)
+		cur, prev = prev, cur
+		lo = hi
+	}
+	return rows
+}
+
 // buildBlocks aggregates the per-processor block shards into the snapshot's
 // blocks section. It returns the BlocksCap most active blocks and the total
-// number of active blocks.
+// number of active blocks. Every active block is reduced to a compact row;
+// only the reported rows get their misses map, accesses and placement advice.
 func buildBlocks(sys *protocol.System) ([]BlockMetrics, int) {
 	run := sys.Stats()
 	lay := sys.Layout()
 	cfg := sys.Config()
-	ppn := cfg.ProcsPerNode
-	if ppn < 1 {
-		ppn = 1
-	}
-	if cfg.NumProcs < ppn {
-		ppn = cfg.NumProcs
-	}
+	ppn := min(max(cfg.ProcsPerNode, 1), cfg.NumProcs)
 	numNodes := (cfg.NumProcs + ppn - 1) / ppn
 
-	byBlock := map[int]map[int]*stats.BlockStat{}
+	n := 0
 	for pid := range run.Procs {
-		for blk, b := range run.Procs[pid].Blocks {
-			m := byBlock[blk]
-			if m == nil {
-				m = map[int]*stats.BlockStat{}
-				byBlock[blk] = m
-			}
-			m[pid] = b
-		}
+		n += len(run.Procs[pid].Blocks)
 	}
-	if len(byBlock) == 0 {
+	if n == 0 {
 		return nil, 0
 	}
-
-	ids := make([]int, 0, len(byBlock))
-	for blk := range byBlock {
-		ids = append(ids, blk)
+	shards := make([]blockShard, 0, n)
+	for pid := range run.Procs {
+		for blk, b := range run.Procs[pid].Blocks {
+			shards = append(shards, blockShard{uint64(blk)<<32 | uint64(pid), b})
+		}
 	}
-	sort.Ints(ids)
-
-	entries := make([]BlockMetrics, 0, len(ids))
-	byID := map[int]*BlockMetrics{}
-	for _, blk := range ids {
-		shards := byBlock[blk]
+	slices.SortFunc(shards, func(a, b blockShard) int { return cmp.Compare(a.key, b.key) })
+	linesOf := func(blk int) int {
 		_, lines := lay.BlockOf(lay.LineAddr(blk))
-		home := sys.HomeOf(blk)
-		e := BlockMetrics{
-			Block:    blk,
-			Bytes:    lines * lay.LineSize(),
-			Home:     home,
-			HomeNode: home / ppn,
-			Misses:   map[string]int64{},
+		return lines
+	}
+
+	rows := compactRows(shards, linesOf)
+	total := len(rows)
+	slices.SortFunc(rows, func(a, b blockRow) int {
+		if a.activity != b.activity {
+			return cmp.Compare(b.activity, a.activity)
 		}
-		pids := make([]int, 0, len(shards))
-		for pid := range shards {
-			pids = append(pids, pid)
+		return cmp.Compare(a.blk, b.blk)
+	})
+	rows = rows[:min(len(rows), BlocksCap)]
+
+	entries := make([]BlockMetrics, len(rows))
+	var s sharing
+	for i, r := range rows {
+		sh := shards[r.lo : r.lo+r.n]
+		s.reduce(sh)
+		home := sys.HomeOf(r.blk)
+		e := &entries[i]
+		*e = BlockMetrics{
+			Block:       r.blk,
+			Bytes:       linesOf(r.blk) * lay.LineSize(),
+			Home:        home,
+			HomeNode:    home / ppn,
+			Pattern:     s.pattern,
+			Misses:      map[string]int64{},
+			TotalMisses: s.misses,
+			Readers:     append([]int(nil), s.readers...),
+			Writers:     append([]int(nil), s.writers...),
+			Accesses:    make([]BlockAccess, 0, len(sh)),
 		}
-		sort.Ints(pids)
-		var wmasks []uint64
-		var upgrades int64
-		for _, pid := range pids {
-			b := shards[pid]
-			var miss, wmiss int64
-			for k := stats.MissKind(0); k < stats.NumMissKinds; k++ {
-				for i, hops := range []int{2, 3} {
-					n := b.Misses[k][i]
-					if n == 0 {
-						continue
-					}
-					miss += n
-					e.Misses[fmt.Sprintf("%s-%dhop", k, hops)] += n
-					if k != stats.ReadMiss {
-						wmiss += n
-					}
-					if k == stats.UpgradeMiss {
-						upgrades += n
-					}
-				}
-			}
-			e.TotalMisses += miss
+		for _, x := range sh {
+			b := x.b
+			addMisses(e.Misses, &b.Misses)
 			e.InvalsRecv += b.InvalsRecv
 			e.InvalsSent += b.InvalsSent
 			e.Downgrades += b.Downgrades
 			e.DowngradeMsgs += b.DowngradeMsgs
+			miss, wmiss := shardMisses(b)
 			e.Accesses = append(e.Accesses, BlockAccess{
-				Proc:        pid,
+				Proc:        x.proc(),
 				Misses:      miss,
 				WriteMisses: wmiss,
 				InvalsRecv:  b.InvalsRecv,
 				ReadMask:    maskHex(b.ReadMask),
 				WriteMask:   maskHex(b.WriteMask),
 			})
-			if b.ReadMask != 0 || miss-wmiss > 0 {
-				e.Readers = append(e.Readers, pid)
-			}
-			if b.WriteMask != 0 || wmiss > 0 {
-				e.Writers = append(e.Writers, pid)
-				wmasks = append(wmasks, b.WriteMask)
-			}
 		}
-		e.Pattern = classifyBlock(e.Readers, e.Writers, wmasks,
-			e.TotalMisses, e.InvalsRecv+e.InvalsSent, upgrades)
 		e.HomeCost, e.AdvisedCost, e.AdvisedNode =
 			adviseHome(e.Accesses, e.HomeNode, numNodes, ppn)
 		if e.AdvisedNode != e.HomeNode && e.HomeCost > e.AdvisedCost {
@@ -358,44 +428,12 @@ func buildBlocks(sys *protocol.System) ([]BlockMetrics, int) {
 			e.AdvisedNode = e.HomeNode
 			e.AdvisedCost = e.HomeCost
 		}
-		if e.Pattern == PatternFalselyShared {
+		switch {
+		case e.Pattern == PatternFalselyShared:
 			e.SizeHint = "smaller"
+		case r.larger:
+			e.SizeHint = "larger"
 		}
-		entries = append(entries, e)
-		byID[blk] = &entries[len(entries)-1]
-	}
-
-	// Adjacent blocks with the same stable pattern and identical sharer
-	// sets would amortize miss overhead under a coarser granularity.
-	for _, e := range entries {
-		if e.SizeHint != "" {
-			continue
-		}
-		switch e.Pattern {
-		case PatternReadOnly, PatternSingleWriter, PatternProducerConsumer:
-		default:
-			continue
-		}
-		next := byID[e.Block+e.Bytes/lay.LineSize()]
-		if next == nil || next.SizeHint == "smaller" || next.Pattern != e.Pattern ||
-			!sameInts(next.Readers, e.Readers) || !sameInts(next.Writers, e.Writers) {
-			continue
-		}
-		byID[e.Block].SizeHint = "larger"
-		next.SizeHint = "larger"
-	}
-
-	total := len(entries)
-	sort.SliceStable(entries, func(i, j int) bool {
-		ai := entries[i].TotalMisses + entries[i].InvalsRecv + entries[i].InvalsSent + entries[i].Downgrades
-		aj := entries[j].TotalMisses + entries[j].InvalsRecv + entries[j].InvalsSent + entries[j].Downgrades
-		if ai != aj {
-			return ai > aj
-		}
-		return entries[i].Block < entries[j].Block
-	})
-	if len(entries) > BlocksCap {
-		entries = entries[:BlocksCap]
 	}
 	return entries, total
 }

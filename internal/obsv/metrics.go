@@ -198,12 +198,13 @@ func timeByMap(p *stats.Proc) map[string]int64 {
 	return m
 }
 
-func missMap(p *stats.Proc) map[string]int64 {
-	m := map[string]int64{}
+// addMisses adds the positive entries of a miss counter array (by kind, 2
+// or 3 hops) to m under "<kind>-<hops>hop" keys, and returns m.
+func addMisses(m map[string]int64, misses *[stats.NumMissKinds][2]int64) map[string]int64 {
 	for k := stats.MissKind(0); k < stats.NumMissKinds; k++ {
 		for i, hops := range []int{2, 3} {
-			if n := p.Misses[k][i]; n > 0 {
-				m[fmt.Sprintf("%s-%dhop", k, hops)] = n
+			if n := misses[k][i]; n > 0 {
+				m[fmt.Sprintf("%s-%dhop", k, hops)] += n
 			}
 		}
 	}
@@ -358,7 +359,7 @@ func Snap(sys *protocol.System) *Snapshot {
 		s.Procs[i] = ProcMetrics{
 			Proc:           i,
 			TimeBy:         timeByMap(p),
-			Misses:         missMap(p),
+			Misses:         addMisses(map[string]int64{}, &p.Misses),
 			Messages:       msgMap(p),
 			HandlerCycles:  p.HandlerCycles,
 			HandlerEvents:  p.HandlerEvents,
