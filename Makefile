@@ -15,11 +15,14 @@
 # TestSnapshotAllocsStayBounded (under 1 s), both without the race detector.
 # The allocation line reruns the other malloc-budget pins (hand-off, message
 # delivery, emission merge, batch hit, trace emission, untraced handler,
-# wake-up, stats shards, the depth buffers' bound and a cluster's
-# independence of its heap capacity) without the race detector, whose
-# runtime allocates on its own and so cannot hold a malloc budget; the same
-# line runs the root package's table of invalid configs, each of which must
-# be a shasta: error, never a panic.
+# wake-up, recycled protocol messages, stats shards, the depth buffers' bound
+# and a cluster's independence of its heap capacity) without the race
+# detector, whose runtime allocates on its own and so cannot hold a malloc
+# budget; the same line runs the root package's table of invalid configs,
+# each of which must be a shasta: error, never a panic. The message pin
+# (TestMessageMallocsStayBounded) is built only without -race; it and the
+# protocol race line's static ownership check (TestNoMessageOutlivesItsHandler)
+# add about 0.15 s to check.
 .PHONY: check test paper-check bench bench-compare gobench
 
 check:

@@ -76,7 +76,7 @@ var waterNsqLivelock = cell{"Water-Nsq", 1, baseConfig(16), true}
 // the cell is an error, not a process-ending panic, and Table 2 prints
 // "failed" in its column and its other rows as usual (two of the six here,
 // to fit the tier-1 budget; paper.golden holds all six). The protocol's
-// forward-progress fix (ROADMAP item 8) flips this test; it then asserts a
+// forward-progress fix (ROADMAP item 1) flips this test; it then asserts a
 // speedup instead.
 func TestWaterNsqVarGranBaseP16IsAReportedFailure(t *testing.T) {
 	r := NewRunner(Options{Apps: []string{"Volrend", "Water-Nsq"}})

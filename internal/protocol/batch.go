@@ -399,8 +399,8 @@ func (p *Proc) batchIssue(need *batchRow) (*missEntry, bool) {
 		entry.wantExcl = true
 		p.outstandingStores++
 		p.grp.img.SetBlockState(base, memory.PendingExcl)
-		p.sendHome(p.homeOf(base), &pmsg{kind: mUpgradeReq, baseLine: base,
-			requester: p.id, issueTime: p.sp.Now()}, stats.Write)
+		p.sendHome(p.homeOf(base), p.msg(pmsg{kind: mUpgradeReq, baseLine: base,
+			requester: p.id, issueTime: p.sp.Now()}), stats.Write)
 		return entry, false
 
 	case st == memory.PendingDowngrade:
@@ -422,8 +422,8 @@ func (p *Proc) batchIssue(need *batchRow) (*missEntry, bool) {
 		} else {
 			p.grp.img.SetBlockState(base, memory.PendingRead)
 		}
-		p.sendHome(p.homeOf(base), &pmsg{kind: mk, baseLine: base,
-			requester: p.id, issueTime: p.sp.Now()}, stats.Read)
+		p.sendHome(p.homeOf(base), p.msg(pmsg{kind: mk, baseLine: base,
+			requester: p.id, issueTime: p.sp.Now()}), stats.Read)
 		return entry, false
 
 	default:

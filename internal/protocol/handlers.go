@@ -41,13 +41,14 @@ func (p *Proc) send(dst int, m *pmsg, cat stats.TimeCategory) {
 			p.st.Messages[stats.RemoteMsg]++
 		}
 	}
+	// The message belongs to its receiver once sent: read it first.
+	kind, r, base := m.kind, m.requester, m.baseLine
+	if kind.spanReply() {
+		r = dst
+	}
 	info := p.sys.net.Send(p.sp, dst, m.sizeBytes(), m)
-	if p.sys.tracer != nil && m.kind.spanLeg() {
-		r := m.requester
-		if m.kind.spanReply() {
-			r = dst
-		}
-		p.trace("xmit", m.kind.String(), m.baseLine, TraceFields{Peer: int32(dst), Req: int32(r), Xmit: info})
+	if p.sys.tracer != nil && kind.spanLeg() {
+		p.trace("xmit", kind.String(), base, TraceFields{Peer: int32(dst), Req: int32(r), Xmit: info})
 	}
 }
 
@@ -91,6 +92,9 @@ func (p *Proc) wakeAll(waiters procSet) {
 // top-level dispatches (nested replays are part of their enclosing
 // dispatch; wakeups are free and not counted).
 func (p *Proc) handle(m *pmsg) {
+	if m.kind == mRecycled {
+		panic(fmt.Sprintf("protocol: proc %d handled a recycled message", p.id))
+	}
 	if m.kind != mWake {
 		if p.sys.tracer != nil {
 			f := TraceFields{Req: int32(m.requester), MsgSeq: m.seq}
@@ -180,6 +184,7 @@ func (p *Proc) handleReadReq(m *pmsg) {
 	de := p.getDir(base)
 	m.homeHint = p.migHint()
 	p.noteHomeMiss(m, de, false)
+	issue, hint := m.issueTime, m.homeHint
 	ownerInGroup := p.grp == p.sys.procs[de.owner].grp
 	homeIsSharer := p.groupSharer(de.sharers) >= 0
 	st := p.grp.img.State(base)
@@ -187,7 +192,7 @@ func (p *Proc) handleReadReq(m *pmsg) {
 	// represents pending block state; serving this request will change
 	// the block under it, so detach it first (new accesses then issue
 	// fresh requests while releases still await its acks).
-	var replay []*pmsg
+	var replay []pmsg
 	if entry := p.grp.miss[base]; entry != nil && !entry.complete && entry.acksOnly() {
 		replay = p.detachEntry(entry)
 	}
@@ -197,16 +202,15 @@ func (p *Proc) handleReadReq(m *pmsg) {
 		// Requester and home are colocated; the data is not on this
 		// node (or the requester would not have missed), so forward.
 		de.sharers.add(R)
-		p.send(de.owner, &pmsg{kind: mReadFwd, baseLine: base, requester: R,
-			seq: de.seq, issueTime: m.issueTime, homeHint: m.homeHint}, stats.Message)
+		p.send(de.owner, p.msg(pmsg{kind: mReadFwd, baseLine: base, requester: R,
+			seq: de.seq, issueTime: issue, homeHint: hint}), stats.Message)
 		p.unlockBlock(base)
 
 	case homeIsSharer && st == memory.Shared:
 		// The home node has a clean copy: serve directly (2 hops),
 		// avoiding the forward to the owner.
 		de.sharers.add(R)
-		m.seq = de.seq
-		p.replyData(R, base, m, 2)
+		p.replyData(R, base, de.seq, issue, hint, 2)
 		p.unlockBlock(base)
 
 	case ownerInGroup && st == memory.Exclusive:
@@ -215,16 +219,16 @@ func (p *Proc) handleReadReq(m *pmsg) {
 		// on.
 		de.sharers.add(R)
 		de.dirty = false
-		m.seq = de.seq
+		seq := de.seq
 		p.startDowngrade(base, memory.Shared, memory.Exclusive, func(h *Proc) {
 			h.grp.img.SetBlockState(base, memory.Shared)
-			h.replyData(R, base, m, 2)
+			h.replyData(R, base, seq, issue, hint, 2)
 		})
 		p.unlockBlock(base)
 
 	case (homeIsSharer || ownerInGroup) && st == memory.PendingDowngrade:
 		dg := p.grp.downgrades[base]
-		dg.queued = append(dg.queued, m)
+		dg.queued = queue(dg.queued, m)
 		p.unlockBlock(base)
 
 	case homeIsSharer && p.grp.miss[base] != nil && !p.grp.miss[base].complete &&
@@ -233,23 +237,22 @@ func (p *Proc) handleReadReq(m *pmsg) {
 		// upgrade is outstanding; the read was serialized at the home
 		// before the upgrade, so serve the current data.
 		de.sharers.add(R)
-		m.seq = de.seq
-		p.replyData(R, base, m, 2)
+		p.replyData(R, base, de.seq, issue, hint, 2)
 		p.unlockBlock(base)
 
 	case ownerInGroup && p.grp.miss[base] != nil && !p.grp.miss[base].complete:
 		// The home group is the owner-to-be: its own fetch of the
 		// block is in flight. Serialize the read after it.
 		entry := p.grp.miss[base]
-		entry.queued = append(entry.queued, m)
+		entry.queued = queue(entry.queued, m)
 		p.unlockBlock(base)
 
 	default:
 		// The data is elsewhere (whatever the lagging local state
 		// says): forward to the owner.
 		de.sharers.add(R)
-		p.send(de.owner, &pmsg{kind: mReadFwd, baseLine: base, requester: R,
-			seq: de.seq, issueTime: m.issueTime, homeHint: m.homeHint}, stats.Message)
+		p.send(de.owner, p.msg(pmsg{kind: mReadFwd, baseLine: base, requester: R,
+			seq: de.seq, issueTime: issue, homeHint: hint}), stats.Message)
 		p.unlockBlock(base)
 	}
 }
@@ -267,10 +270,11 @@ func (p *Proc) handleReadExclReq(m *pmsg) {
 	de := p.getDir(base)
 	m.homeHint = p.migHint()
 	p.noteHomeMiss(m, de, true)
+	issue, hint := m.issueTime, m.homeHint
 	ownerInGroup := p.grp == p.sys.procs[de.owner].grp
 	homeSharer := p.groupSharer(de.sharers)
 	st := p.grp.img.State(base)
-	var replay []*pmsg
+	var replay []pmsg
 	if e := p.grp.miss[base]; e != nil && !e.complete && e.acksOnly() {
 		replay = p.detachEntry(e)
 	}
@@ -281,8 +285,8 @@ func (p *Proc) handleReadExclReq(m *pmsg) {
 		targets := de.sharers.andNot(p.sys.groupMask(R).or(bit(owner)))
 		acks := targets.count()
 		de.seq++
-		p.send(owner, &pmsg{kind: mReadExclFwd, baseLine: base, requester: R,
-			seq: de.seq, acks: acks, issueTime: m.issueTime, homeHint: m.homeHint}, stats.Message)
+		p.send(owner, p.msg(pmsg{kind: mReadExclFwd, baseLine: base, requester: R,
+			seq: de.seq, acks: acks, issueTime: issue, homeHint: hint}), stats.Message)
 		p.sendInvals(base, targets, R, de.seq)
 		de.owner, de.sharers = R, bit(R)
 	}
@@ -298,11 +302,7 @@ func (p *Proc) handleReadExclReq(m *pmsg) {
 		de.seq++
 		seq := de.seq
 		p.startDowngrade(base, memory.Invalid, memory.Exclusive, func(h *Proc) {
-			data := append([]byte(nil), h.grp.img.BlockData(base)...)
-			h.invalidateLocal(base)
-			h.send(R, &pmsg{kind: mDataExclReply, baseLine: base, data: data,
-				seq: seq, acks: 0, hops: 2, issueTime: m.issueTime,
-				homeHint: m.homeHint}, stats.Message)
+			h.replyExcl(R, base, seq, 0, issue, hint, 2)
 		})
 		de.owner, de.sharers, de.dirty = R, bit(R), true
 		p.unlockBlock(base)
@@ -312,12 +312,10 @@ func (p *Proc) handleReadExclReq(m *pmsg) {
 		// capture and send the data, invalidate every other sharer,
 		// and invalidate the home group's own copy locally.
 		external := de.sharers.andNot(bit(R).or(bit(homeSharer)))
-		data := append([]byte(nil), p.grp.img.BlockData(base)...)
 		acks := external.count()
 		de.seq++
-		p.send(R, &pmsg{kind: mDataExclReply, baseLine: base, data: data,
-			seq: de.seq, acks: acks, hops: 2, issueTime: m.issueTime,
-			homeHint: m.homeHint}, stats.Message)
+		p.send(R, p.msg(pmsg{kind: mDataExclReply, baseLine: base, data: p.grp.img.BlockData(base),
+			seq: de.seq, acks: acks, hops: 2, issueTime: issue, homeHint: hint}), stats.Message)
 		p.sendInvals(base, external, R, de.seq)
 		p.startDowngrade(base, memory.Invalid, memory.Shared, func(h *Proc) {
 			h.invalidateLocal(base)
@@ -327,13 +325,13 @@ func (p *Proc) handleReadExclReq(m *pmsg) {
 
 	case (homeSharer >= 0 || ownerInGroup) && st == memory.PendingDowngrade:
 		dg := p.grp.downgrades[base]
-		dg.queued = append(dg.queued, m)
+		dg.queued = queue(dg.queued, m)
 		p.unlockBlock(base)
 
 	case ownerInGroup && entry != nil && !entry.complete:
 		// The home group's own request for the block is outstanding and
 		// it is the registered owner; serialize after it completes.
-		entry.queued = append(entry.queued, m)
+		entry.queued = queue(entry.queued, m)
 		p.unlockBlock(base)
 
 	default:
@@ -374,8 +372,8 @@ func (p *Proc) handleUpgradeReq(m *pmsg) {
 		targets := de.sharers.andNot(bit(owner))
 		acks := targets.count()
 		de.seq++
-		p.send(owner, &pmsg{kind: mReadExclFwd, baseLine: base, requester: R,
-			seq: de.seq, acks: acks, issueTime: m.issueTime, homeHint: m.homeHint}, stats.Message)
+		p.send(owner, p.msg(pmsg{kind: mReadExclFwd, baseLine: base, requester: R,
+			seq: de.seq, acks: acks, issueTime: m.issueTime, homeHint: m.homeHint}), stats.Message)
 		p.sendInvals(base, targets, R, de.seq)
 		de.owner, de.sharers, de.dirty = R, bit(R), true
 		p.unlockBlock(base)
@@ -387,8 +385,8 @@ func (p *Proc) handleUpgradeReq(m *pmsg) {
 	targets := de.sharers.andNot(gm)
 	acks := targets.count()
 	de.seq++
-	p.send(R, &pmsg{kind: mUpgradeAck, baseLine: base, seq: de.seq, acks: acks,
-		hops: 2, issueTime: m.issueTime, homeHint: m.homeHint}, stats.Message)
+	p.send(R, p.msg(pmsg{kind: mUpgradeAck, baseLine: base, seq: de.seq, acks: acks,
+		hops: 2, issueTime: m.issueTime, homeHint: m.homeHint}), stats.Message)
 	p.sendInvals(base, targets, R, de.seq)
 	de.owner, de.sharers, de.dirty = R, bit(R), true
 	p.unlockBlock(base)
@@ -414,17 +412,26 @@ func (p *Proc) sendInvals(base int, targets procSet, requester int, seq int64) {
 	}
 	p.blockStat(base).InvalsSent += int64(targets.count())
 	targets.forEach(func(t int) {
-		p.send(t, &pmsg{kind: mInval, baseLine: base, requester: requester,
-			seq: seq, homeHint: p.migHint()}, stats.Message)
+		p.send(t, p.msg(pmsg{kind: mInval, baseLine: base, requester: requester,
+			seq: seq, homeHint: p.migHint()}), stats.Message)
 	})
 }
 
-// replyData sends a shared-data reply for a block. The home hint travels
-// from the request (set by the home, even when an owner serves 3-hop).
-func (p *Proc) replyData(R, base int, req *pmsg, hops int) {
-	data := append([]byte(nil), p.grp.img.BlockData(base)...)
-	p.send(R, &pmsg{kind: mDataReply, baseLine: base, data: data, hops: hops,
-		seq: req.seq, issueTime: req.issueTime, homeHint: req.homeHint}, stats.Message)
+// replyData sends a shared-data reply for a block. The sequence number,
+// issue time and home hint come from the request (the hint is set by the
+// home, even when an owner serves 3-hop).
+func (p *Proc) replyData(R, base int, seq, issue int64, hint, hops int) {
+	p.send(R, p.msg(pmsg{kind: mDataReply, baseLine: base, data: p.grp.img.BlockData(base),
+		hops: hops, seq: seq, issueTime: issue, homeHint: hint}), stats.Message)
+}
+
+// replyExcl is a downgrade's deferred exclusive-data reply: it takes the
+// block's data, then invalidates the group's copy and sends the data.
+func (p *Proc) replyExcl(R, base int, seq int64, acks int, issue int64, hint, hops int) {
+	r := p.msg(pmsg{kind: mDataExclReply, baseLine: base, data: p.grp.img.BlockData(base),
+		seq: seq, acks: acks, hops: hops, issueTime: issue, homeHint: hint})
+	p.invalidateLocal(base)
+	p.send(R, r, stats.Message)
 }
 
 // --- Owner handlers ---
@@ -434,6 +441,7 @@ func (p *Proc) handleReadFwd(m *pmsg) {
 	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.OwnerHandler)
 	base, R := m.baseLine, m.requester
+	seq, issue, hint := m.seq, m.issueTime, m.homeHint
 	p.lockBlock(base)
 	entry := p.grp.miss[base]
 	st := p.grp.img.State(base)
@@ -445,8 +453,8 @@ func (p *Proc) handleReadFwd(m *pmsg) {
 		replay := p.detachEntry(entry)
 		p.startDowngrade(base, memory.Shared, st, func(h *Proc) {
 			h.grp.img.SetBlockState(base, memory.Shared)
-			h.replyData(R, base, m, 3)
-			h.notifyClean(base, m.seq)
+			h.replyData(R, base, seq, issue, hint, 3)
+			h.notifyClean(base, seq)
 		})
 		p.unlockBlock(base)
 		p.replayQueued(replay)
@@ -455,22 +463,22 @@ func (p *Proc) handleReadFwd(m *pmsg) {
 		// Valid shared data underneath a pending, not-yet-granted
 		// upgrade; the read was serialized before the upgrade at the
 		// home.
-		p.replyData(R, base, m, 3)
+		p.replyData(R, base, seq, issue, hint, 3)
 	case entry != nil && !entry.complete:
-		entry.queued = append(entry.queued, m)
+		entry.queued = queue(entry.queued, m)
 	case st == memory.Exclusive:
 		p.startDowngrade(base, memory.Shared, memory.Exclusive, func(h *Proc) {
 			h.grp.img.SetBlockState(base, memory.Shared)
-			h.replyData(R, base, m, 3)
-			h.notifyClean(base, m.seq)
+			h.replyData(R, base, seq, issue, hint, 3)
+			h.notifyClean(base, seq)
 		})
 	case st == memory.Shared:
 		// Already downgraded by an earlier read; serve directly.
-		p.replyData(R, base, m, 3)
-		p.notifyClean(base, m.seq)
+		p.replyData(R, base, seq, issue, hint, 3)
+		p.notifyClean(base, seq)
 	case st == memory.PendingDowngrade:
 		dg := p.grp.downgrades[base]
-		dg.queued = append(dg.queued, m)
+		dg.queued = queue(dg.queued, m)
 	default:
 		panic(fmt.Sprintf("protocol: read forward found owner %d with state %v for block %d",
 			p.id, st, base))
@@ -484,16 +492,13 @@ func (p *Proc) handleReadExclFwd(m *pmsg) {
 	c := p.sys.cfg.Cal.Costs
 	p.charge(stats.Message, c.OwnerHandler)
 	base, R := m.baseLine, m.requester
+	seq, acks, issue, hint := m.seq, m.acks, m.issueTime, m.homeHint
 	p.lockBlock(base)
 	entry := p.grp.miss[base]
 	st := p.grp.img.State(base)
 	serve := func(pre memory.State) {
 		p.startDowngrade(base, memory.Invalid, pre, func(h *Proc) {
-			data := append([]byte(nil), h.grp.img.BlockData(base)...)
-			h.invalidateLocal(base)
-			h.send(R, &pmsg{kind: mDataExclReply, baseLine: base, data: data,
-				seq: m.seq, acks: m.acks, hops: 3, issueTime: m.issueTime,
-				homeHint: m.homeHint}, stats.Message)
+			h.replyExcl(R, base, seq, acks, issue, hint, 3)
 		})
 	}
 	switch {
@@ -521,14 +526,14 @@ func (p *Proc) handleReadExclFwd(m *pmsg) {
 		entry.dataArrived = false
 		serve(memory.Shared)
 	case entry != nil && !entry.complete:
-		entry.queued = append(entry.queued, m)
+		entry.queued = queue(entry.queued, m)
 	case st == memory.Exclusive:
 		serve(memory.Exclusive)
 	case st == memory.Shared:
 		serve(memory.Shared)
 	case st == memory.PendingDowngrade:
 		dg := p.grp.downgrades[base]
-		dg.queued = append(dg.queued, m)
+		dg.queued = queue(dg.queued, m)
 	default:
 		panic(fmt.Sprintf("protocol: read-excl forward found owner %d with state %v for block %d",
 			p.id, st, base))
@@ -551,7 +556,7 @@ func (p *Proc) bumpCopySeq(base int, seq int64) {
 // group's merged stores with it), so nothing is installed; the entry
 // completes so stalled processors re-dispatch and releases stop waiting.
 // Must be called with the block lock held; returns the messages to replay.
-func (p *Proc) superseded(entry *missEntry) []*pmsg {
+func (p *Proc) superseded(entry *missEntry) []pmsg {
 	entry.complete = true
 	delete(p.grp.miss, entry.baseLine)
 	if entry.hasStores {
@@ -578,7 +583,7 @@ func (p *Proc) notifyClean(base int, seq int64) {
 		// The directory migrated away from us; chase it like any other
 		// sharing update. The self-send is traced, so the eventual handle
 		// at the live home has a matching send event.
-		p.send(p.id, &pmsg{kind: mSharingUpdate, baseLine: base, seq: seq}, stats.Message)
+		p.send(p.id, p.msg(pmsg{kind: mSharingUpdate, baseLine: base, seq: seq}), stats.Message)
 		return
 	}
 	if home == p.id || (p.sys.cfg.ShareDirectory && p.sys.procs[home].grp == p.grp) {
@@ -588,7 +593,7 @@ func (p *Proc) notifyClean(base int, seq int64) {
 		}
 		return
 	}
-	p.send(home, &pmsg{kind: mSharingUpdate, baseLine: base, seq: seq}, stats.Message)
+	p.send(home, p.msg(pmsg{kind: mSharingUpdate, baseLine: base, seq: seq}), stats.Message)
 }
 
 // handleSharingUpdate processes an owner's clean notification at the home.
@@ -630,7 +635,7 @@ func (p *Proc) handleInval(m *pmsg) {
 		// serialized before the copy this group currently holds was
 		// granted (the copy arrived on a faster channel). Acknowledge
 		// without invalidating.
-		p.send(R, &pmsg{kind: mInvalAck, baseLine: base}, stats.Message)
+		p.send(R, p.msg(pmsg{kind: mInvalAck, baseLine: base}), stats.Message)
 		p.unlockBlock(base)
 		return
 	}
@@ -647,7 +652,7 @@ func (p *Proc) handleInval(m *pmsg) {
 		replay := p.detachEntry(entry)
 		p.startDowngrade(base, memory.Invalid, st, func(h *Proc) {
 			h.invalidateLocal(base)
-			h.send(R, &pmsg{kind: mInvalAck, baseLine: base}, stats.Message)
+			h.send(R, h.msg(pmsg{kind: mInvalAck, baseLine: base}), stats.Message)
 		})
 		p.unlockBlock(base)
 		p.replayQueued(replay)
@@ -655,11 +660,11 @@ func (p *Proc) handleInval(m *pmsg) {
 	case st == memory.Shared:
 		p.startDowngrade(base, memory.Invalid, memory.Shared, func(h *Proc) {
 			h.invalidateLocal(base)
-			h.send(R, &pmsg{kind: mInvalAck, baseLine: base}, stats.Message)
+			h.send(R, h.msg(pmsg{kind: mInvalAck, baseLine: base}), stats.Message)
 		})
 	case st == memory.PendingDowngrade:
 		dg := p.grp.downgrades[base]
-		dg.queued = append(dg.queued, m)
+		dg.queued = queue(dg.queued, m)
 	case entry != nil && !entry.complete:
 		// Our own request is in flight and our stale copy must go: fill
 		// the flag (pending stores are replayed on the reply), downgrade
@@ -670,11 +675,11 @@ func (p *Proc) handleInval(m *pmsg) {
 		entry.dataArrived = false
 		p.startDowngrade(base, memory.Invalid, memory.Invalid, func(h *Proc) {
 			h.grp.img.FillFlag(base)
-			h.send(R, &pmsg{kind: mInvalAck, baseLine: base}, stats.Message)
+			h.send(R, h.msg(pmsg{kind: mInvalAck, baseLine: base}), stats.Message)
 		})
 	default:
 		// Already invalid (stale invalidation); just acknowledge.
-		p.send(R, &pmsg{kind: mInvalAck, baseLine: base}, stats.Message)
+		p.send(R, p.msg(pmsg{kind: mInvalAck, baseLine: base}), stats.Message)
 	}
 	p.unlockBlock(base)
 }
@@ -771,8 +776,8 @@ func (p *Proc) handleDataReply(m *pmsg) {
 		entry.upgradeSent = true
 		p.grp.img.SetBlockState(base, memory.PendingExcl)
 		home := p.homeOf(base)
-		p.sendHome(home, &pmsg{kind: mUpgradeReq, baseLine: base, requester: p.id,
-			issueTime: p.sp.Now()}, stats.Message)
+		p.sendHome(home, p.msg(pmsg{kind: mUpgradeReq, baseLine: base, requester: p.id,
+			issueTime: p.sp.Now()}), stats.Message)
 	} else {
 		p.grp.img.SetBlockState(base, memory.Shared)
 		if entry.issuer == p.id {
@@ -892,7 +897,7 @@ func (p *Proc) completeIfDone(entry *missEntry) bool {
 // requests, but releases still wait for its outstanding acknowledgements.
 // Queued messages serialized behind it are returned for replay. Must be
 // called with the block lock held; the caller replays after unlocking.
-func (p *Proc) detachEntry(entry *missEntry) []*pmsg {
+func (p *Proc) detachEntry(entry *missEntry) []pmsg {
 	delete(p.grp.miss, entry.baseLine)
 	p.grp.detached[entry.baseLine] = append(p.grp.detached[entry.baseLine], entry)
 	queued := entry.queued
@@ -914,8 +919,9 @@ func (e *missEntry) acksOnly() bool {
 // not shared within a group), so if the completing processor is not the
 // home they are re-injected into the home's queue; everything else operates
 // on group-level state and can run right here.
-func (p *Proc) replayQueued(queued []*pmsg) {
-	for _, q := range queued {
+func (p *Proc) replayQueued(queued []pmsg) {
+	for i := range queued {
+		q := &queued[i]
 		switch q.kind {
 		case mReadReq, mReadExclReq, mUpgradeReq:
 			home := p.homeOf(q.baseLine)
@@ -926,7 +932,7 @@ func (p *Proc) replayQueued(queued []*pmsg) {
 				// the send-side statistics. Under migration a stale view
 				// is fine — the addressee's tombstone chases the live
 				// home, and a local re-dispatch diverts the same way.
-				p.sys.net.Send(p.sp, home, 0, q)
+				p.sys.net.Send(p.sp, home, 0, p.msg(*q))
 				continue
 			}
 			p.handle(q)
@@ -951,7 +957,7 @@ func (p *Proc) startDowngrade(base int, target, preState memory.State, action fu
 	if p.grp.downgrades[base] != nil {
 		panic(fmt.Sprintf("protocol: overlapping downgrades for block %d", base))
 	}
-	var recipients []int
+	var recipients procSet
 	for _, mem := range p.grp.members {
 		if mem == p.id {
 			continue
@@ -964,7 +970,7 @@ func (p *Proc) startDowngrade(base int, target, preState memory.State, action fu
 			// SoftFLASH-style shootdown: every other processor of the
 			// node is downgraded regardless of whether it accessed the
 			// block (the ablation of the private state tables).
-			recipients = append(recipients, mem)
+			recipients.add(mem)
 			continue
 		}
 		ps := q.priv.Get(base)
@@ -975,23 +981,24 @@ func (p *Proc) startDowngrade(base int, target, preState memory.State, action fu
 			need = ps.Valid()
 		}
 		if need {
-			recipients = append(recipients, mem)
+			recipients.add(mem)
 		}
 	}
-	p.trace("downgrade", "", base, TraceFields{To: target, N: int32(len(recipients)), Pre: preState})
+	nr := recipients.count()
+	p.trace("downgrade", "", base, TraceFields{To: target, N: int32(nr), Pre: preState})
 	// Downgrade our own private state immediately.
 	p.downgradePriv(base, target)
 	if p.sys.cfg.SMP() {
-		n := len(recipients)
+		n := nr
 		if n > stats.MaxDowngradeFanout {
 			n = stats.MaxDowngradeFanout
 		}
 		p.st.Downgrades[n]++
 		bs := p.blockStat(base)
 		bs.Downgrades++
-		bs.DowngradeMsgs += int64(len(recipients))
+		bs.DowngradeMsgs += int64(nr)
 	}
-	if len(recipients) == 0 {
+	if nr == 0 {
 		action(p)
 		return
 	}
@@ -1000,7 +1007,7 @@ func (p *Proc) startDowngrade(base int, target, preState memory.State, action fu
 	}
 	dg := &dgEntry{
 		baseLine:  base,
-		remaining: len(recipients),
+		remaining: nr,
 		preState:  preState,
 		action:    action,
 	}
@@ -1009,9 +1016,9 @@ func (p *Proc) startDowngrade(base int, target, preState memory.State, action fu
 	if target == memory.Shared {
 		kind = mDowngradeToShared
 	}
-	for _, r := range recipients {
-		p.send(r, &pmsg{kind: kind, baseLine: base}, stats.Message)
-	}
+	recipients.forEach(func(r int) {
+		p.send(r, p.msg(pmsg{kind: kind, baseLine: base}), stats.Message)
+	})
 }
 
 // downgradePriv lowers this processor's private state for a block.

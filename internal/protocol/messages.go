@@ -51,6 +51,9 @@ const (
 	// the new home confirms installation (mMigrateAck).
 	mMigrate
 	mMigrateAck
+
+	// mRecycled marks a message on a free list; handle rejects it.
+	mRecycled
 )
 
 var msgKindNames = map[msgKind]string{
@@ -163,6 +166,65 @@ type migPayload struct {
 // sizeBytes returns the payload size used for transfer-time modelling:
 // control messages are small; data messages carry the block.
 func (m *pmsg) sizeBytes() int { return len(m.data) }
+
+// A message belongs to the processor that receives it until handle returns:
+// the receive loops (poll, stallUntil) then put it on that processor's free
+// list, and the processor's next send takes it from there, block buffer
+// included. Whatever outlives a handler keeps a copy, never the pointer:
+// queues hold pmsg values (queued) and deferred downgrade actions capture
+// the fields they read. A free list is touched only by its processor's own
+// code, so the parallel engine needs no lock: a message that crosses
+// domains is handed over at a window boundary.
+//
+// msgFreeCap bounds each free list. A processor that receives more than it
+// sends (a lock or directory home) would otherwise keep a list that grows
+// with run length. Uncapped, the paper's applications peak at 73 (Ocean)
+// to 1,148 (Water-Nsq) messages on one processor at 16 processors and
+// clustering 4, and at 6,825 (LU-Contig) with clustering 1; the messages a
+// larger cap would keep save LU at 16 processors 2.3% of its bytes
+// (PERFORMANCE.md §13).
+const msgFreeCap = 256
+
+// msg returns a message holding v, taken from the processor's free list
+// when it has one. v.data is copied into the message's own buffer, so a
+// data reply may pass the block image's bytes directly.
+func (p *Proc) msg(v pmsg) *pmsg {
+	var m *pmsg
+	if n := len(p.free); n > 0 {
+		m, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		m = new(pmsg)
+	}
+	buf := m.data[:0]
+	*m = v
+	m.data = append(buf, v.data...)
+	return m
+}
+
+// release puts a handled message on the processor's free list, poisoned so
+// that handling it again panics. The shared wake-up message is never
+// released.
+func (p *Proc) release(m *pmsg) {
+	if m == wakeMsg {
+		return
+	}
+	*m = pmsg{kind: mRecycled, data: m.data[:0]}
+	if len(p.free) < msgFreeCap {
+		p.free = append(p.free, m)
+	}
+}
+
+// queue appends a copy of m to a wait queue. Queued messages are requests,
+// forwards and invalidations, which carry no data; the copy drops the
+// (empty) buffer so it shares nothing with the recycled original.
+func queue(q []pmsg, m *pmsg) []pmsg {
+	if len(m.data) > 0 {
+		panic(fmt.Sprintf("protocol: queued a %v carrying data", m.kind))
+	}
+	c := *m
+	c.data = nil
+	return append(q, c)
+}
 
 // storeRec is one pending store recorded in a miss entry, replayed over the
 // reply data when it arrives (the protocol's non-blocking store merge).

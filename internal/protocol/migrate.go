@@ -54,7 +54,7 @@ type migRec struct {
 	// arriving requests queue here instead of forwarding (a forward could
 	// otherwise outrun the directory transfer).
 	acked  bool
-	queued []*pmsg
+	queued []pmsg
 }
 
 // migModel is a home's incremental per-node miss model for one block: the
@@ -264,9 +264,9 @@ func (p *Proc) migrateTo(base int, de *dirEntry, target int, homeCost, bestCost,
 	p.migrated[base] = &migRec{to: target, seq: p.migSeq}
 	moved := de.mig.moved + 1
 	delete(p.dir, base)
-	p.send(target, &pmsg{kind: mMigrate, baseLine: base, requester: p.id,
+	p.send(target, p.msg(pmsg{kind: mMigrate, baseLine: base, requester: p.id,
 		id: p.migSeq, mig: &migPayload{owner: de.owner, sharers: de.sharers,
-			seq: de.seq, dirty: de.dirty, moved: moved}}, stats.Message)
+			seq: de.seq, dirty: de.dirty, moved: moved}}), stats.Message)
 }
 
 // handleMigrate installs a migrated directory entry at the new home. If the
@@ -276,7 +276,7 @@ func (p *Proc) migrateTo(base int, de *dirEntry, target int, homeCost, bestCost,
 func (p *Proc) handleMigrate(m *pmsg) {
 	p.charge(stats.Message, p.sys.cfg.Cal.Costs.HomeHandler)
 	base := m.baseLine
-	var replay []*pmsg
+	var replay []pmsg
 	if rec := p.migrated[base]; rec != nil {
 		// The hand-off's ack may still be in flight; when it arrives its
 		// sequence number will no longer match and it is ignored.
@@ -304,9 +304,9 @@ func (p *Proc) handleMigrate(m *pmsg) {
 	p.sys.liveHome[base] = int32(p.id)
 	p.sys.lay.BumpMigEpoch(base)
 	p.trace("migrate", "", base, TraceFields{Installed: true, Peer: int32(m.requester), N: int32(m.mig.moved)})
-	p.send(m.requester, &pmsg{kind: mMigrateAck, baseLine: base, id: m.id}, stats.Message)
-	for _, q := range replay {
-		p.handle(q)
+	p.send(m.requester, p.msg(pmsg{kind: mMigrateAck, baseLine: base, id: m.id}), stats.Message)
+	for i := range replay {
+		p.handle(&replay[i])
 	}
 }
 
@@ -322,8 +322,8 @@ func (p *Proc) handleMigrateAck(m *pmsg) {
 	rec.acked = true
 	queued := rec.queued
 	rec.queued = nil
-	for _, q := range queued {
-		p.forwardMigrated(rec, q)
+	for i := range queued {
+		p.forwardMigrated(rec, &queued[i])
 	}
 }
 
@@ -333,17 +333,17 @@ func (p *Proc) handleMigrateAck(m *pmsg) {
 func (p *Proc) divertMigrated(rec *migRec, m *pmsg) {
 	p.charge(stats.Message, p.sys.cfg.Cal.Costs.MissTableOp)
 	if !rec.acked {
-		rec.queued = append(rec.queued, m)
+		rec.queued = queue(rec.queued, m)
 		return
 	}
 	p.forwardMigrated(rec, m)
 }
 
-// forwardMigrated relays a diverted message one step along the migration
-// chain. The relay is an internal re-injection (no fresh send event; the
-// original request's send still accounts for it in the trace), but it does
-// occupy the wire, so it is counted in the message statistics and as a
-// MigForward.
+// forwardMigrated relays a copy of a diverted message one step along the
+// migration chain. The relay is an internal re-injection (no fresh send
+// event; the original request's send still accounts for it in the trace),
+// but it does occupy the wire, so it is counted in the message statistics
+// and as a MigForward.
 func (p *Proc) forwardMigrated(rec *migRec, m *pmsg) {
 	p.st.MigForwards++
 	p.trace("migfwd", m.kind.String(), m.baseLine, TraceFields{Peer: int32(rec.to), Req: int32(m.requester)})
@@ -352,5 +352,5 @@ func (p *Proc) forwardMigrated(rec *migRec, m *pmsg) {
 	} else {
 		p.st.Messages[stats.RemoteMsg]++
 	}
-	p.sys.net.Send(p.sp, rec.to, 0, m)
+	p.sys.net.Send(p.sp, rec.to, 0, p.msg(*m))
 }

@@ -58,6 +58,10 @@ type Proc struct {
 	// occupancy is attributed once per top-level dispatch.
 	handlerDepth int
 
+	// free holds this processor's handled messages for its next sends
+	// (msg, release), at most msgFreeCap of them.
+	free []*pmsg
+
 	// inBatch is the nesting depth of batched sequences being executed, and
 	// batches the batch context of each depth, reused from call to call: a
 	// batch started inside another's body gets its own requirement table.
@@ -127,7 +131,9 @@ func (p *Proc) poll() {
 		if !ok {
 			return
 		}
-		p.handle(m.Payload.(*pmsg))
+		pm := m.Payload.(*pmsg)
+		p.handle(pm)
+		p.release(pm)
 	}
 }
 
@@ -149,8 +155,9 @@ func (p *Proc) stallUntil(cat stats.TimeCategory, where string, cond func() bool
 	wasStalled, wasCat := p.stalled, p.stallCat
 	p.stalled, p.stallCat = true, cat
 	for !cond() {
-		m := p.sp.WaitRecv(cat, where)
-		p.handle(m.Payload.(*pmsg))
+		pm := p.sp.WaitRecv(cat, where).Payload.(*pmsg)
+		p.handle(pm)
+		p.release(pm)
 	}
 	p.stalled, p.stallCat = wasStalled, wasCat
 }
@@ -362,8 +369,8 @@ func (p *Proc) loadMiss(addr memory.Addr, size int) uint64 {
 			entry := p.newMissEntry(base, stats.ReadMiss, mask, 0, false)
 			p.grp.img.SetBlockState(base, memory.PendingRead)
 			home := p.homeOf(base)
-			p.sendHome(home, &pmsg{kind: mReadReq, baseLine: base, requester: p.id,
-				issueTime: p.sp.Now()}, stats.Read)
+			p.sendHome(home, p.msg(pmsg{kind: mReadReq, baseLine: base, requester: p.id,
+				issueTime: p.sp.Now()}), stats.Read)
 			p.unlockBlock(base)
 			p.stallUntil(stats.Read, "load-miss", func() bool {
 				return entry.dataArrived || entry.complete
@@ -499,8 +506,8 @@ func (p *Proc) storeMiss(addr memory.Addr, size int, v uint64) {
 			entry.wantExcl = true
 			p.grp.img.SetBlockState(base, memory.PendingExcl)
 			home := p.homeOf(base)
-			p.sendHome(home, &pmsg{kind: mUpgradeReq, baseLine: base, requester: p.id,
-				issueTime: p.sp.Now()}, stats.Other)
+			p.sendHome(home, p.msg(pmsg{kind: mUpgradeReq, baseLine: base, requester: p.id,
+				issueTime: p.sp.Now()}), stats.Other)
 			p.unlockBlock(base)
 			return
 
@@ -518,8 +525,8 @@ func (p *Proc) storeMiss(addr memory.Addr, size int, v uint64) {
 			entry.wantExcl = true
 			p.grp.img.SetBlockState(base, memory.PendingExcl)
 			home := p.homeOf(base)
-			p.sendHome(home, &pmsg{kind: mReadExclReq, baseLine: base, requester: p.id,
-				issueTime: p.sp.Now()}, stats.Other)
+			p.sendHome(home, p.msg(pmsg{kind: mReadExclReq, baseLine: base, requester: p.id,
+				issueTime: p.sp.Now()}), stats.Other)
 			p.unlockBlock(base)
 			return
 

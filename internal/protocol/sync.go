@@ -93,7 +93,7 @@ func (p *Proc) LockAcquire(id int) {
 	t0 := p.sp.Now()
 	p.trace("sync", "", -1, TraceFields{Sync: SyncLockAcquire, ID: int32(id)})
 	home := p.sys.lockHome(id)
-	p.send(home, &pmsg{kind: mLockReq, baseLine: -1, id: id, requester: p.id}, stats.Sync)
+	p.send(home, p.msg(pmsg{kind: mLockReq, baseLine: -1, id: id, requester: p.id}), stats.Sync)
 	p.stallUntil(stats.Sync, fmt.Sprintf("lock-%d", id), func() bool {
 		return p.lockGranted[id]
 	})
@@ -140,7 +140,7 @@ func (p *Proc) LockRelease(id int) {
 	}
 	p.releaseStores()
 	home := p.sys.lockHome(id)
-	p.send(home, &pmsg{kind: mLockRel, baseLine: -1, id: id, requester: p.id}, stats.Sync)
+	p.send(home, p.msg(pmsg{kind: mLockRel, baseLine: -1, id: id, requester: p.id}), stats.Sync)
 }
 
 // Barrier synchronizes all processors. Arrival has release semantics.
@@ -167,11 +167,11 @@ func (p *Proc) Barrier() {
 		g.fsArrived++
 		if g.fsArrived == len(g.members) {
 			g.fsArrived = 0
-			p.send(0, &pmsg{kind: mBarArrive, baseLine: -1, id: gen, requester: p.id}, stats.Sync)
+			p.send(0, p.msg(pmsg{kind: mBarArrive, baseLine: -1, id: gen, requester: p.id}), stats.Sync)
 		}
 		p.stallUntil(stats.Sync, "barrier", func() bool { return p.barGen > gen })
 	} else {
-		p.send(0, &pmsg{kind: mBarArrive, baseLine: -1, id: gen, requester: p.id}, stats.Sync)
+		p.send(0, p.msg(pmsg{kind: mBarArrive, baseLine: -1, id: gen, requester: p.id}), stats.Sync)
 		p.stallUntil(stats.Sync, "barrier", func() bool { return p.barGen > gen })
 	}
 	t1 := p.sp.Now()
@@ -224,7 +224,7 @@ func (p *Proc) handleSync(m *pmsg) {
 				// Release one representative per group; it releases its
 				// group members through shared memory.
 				for _, g := range p.sys.groups {
-					p.send(g.members[0], &pmsg{kind: mBarGo, baseLine: -1, id: gen}, stats.Message)
+					p.send(g.members[0], p.msg(pmsg{kind: mBarGo, baseLine: -1, id: gen}), stats.Message)
 				}
 				return
 			}
@@ -232,7 +232,7 @@ func (p *Proc) handleSync(m *pmsg) {
 				if q == p.id {
 					continue
 				}
-				p.send(q, &pmsg{kind: mBarGo, baseLine: -1, id: gen}, stats.Message)
+				p.send(q, p.msg(pmsg{kind: mBarGo, baseLine: -1, id: gen}), stats.Message)
 			}
 			p.barGen++ // the manager's own arrival completes locally
 		}
@@ -258,8 +258,8 @@ func (p *Proc) sendGrant(id, dst, hops int) {
 		prev = -1
 	}
 	p.lockPrev[id] = dst
-	p.send(dst, &pmsg{kind: mLockGrant, baseLine: -1, id: id,
-		requester: dst, prev: prev, hops: hops}, stats.Message)
+	p.send(dst, p.msg(pmsg{kind: mLockGrant, baseLine: -1, id: id,
+		requester: dst, prev: prev, hops: hops}), stats.Message)
 }
 
 // ResetStats zeroes the statistics and marks the start of the measured

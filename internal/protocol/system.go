@@ -135,7 +135,7 @@ type missEntry struct {
 	// queued holds incoming protocol messages that must wait for this
 	// entry to complete (e.g. a forward arriving while our own request
 	// for the block is still outstanding).
-	queued []*pmsg
+	queued []pmsg
 
 	complete bool
 }
@@ -154,7 +154,7 @@ type dgEntry struct {
 	// that handles the last downgrade message.
 	action func(h *Proc)
 	// queued holds requests that arrived during the downgrade.
-	queued []*pmsg
+	queued []pmsg
 	// waiters are local processors stalled on the downgrade finishing.
 	waiters procSet
 	done    bool
